@@ -63,7 +63,9 @@ val sub_opt : t -> t -> t option
 
 val mul : t -> t -> t
 (** Karatsuba above {!karatsuba_threshold} limbs, schoolbook below (and
-    always schoolbook under [IPDB_ARITH_REFERENCE=1]). *)
+    always schoolbook under [IPDB_ARITH_REFERENCE=1]). When one operand
+    is more than twice as long as the other, the long one is cut into
+    blocks of the short one's length and the block products are summed. *)
 
 val mul_classical : t -> t -> t
 (** Schoolbook multiplication: the reference implementation (exposed for

@@ -279,34 +279,40 @@ module Accum = struct
   type t = { mutable num : Zint.t; mutable den : Nat.t }
   (* Unnormalised partial sum num/den (den > 0). Normalisation is batched:
      it runs only when the denominator outgrows [normalize_bits], and once
-     more in [total]. The committed value is identical to an eagerly
-     normalised left fold — same rational, same canonical form. *)
+     more in [total]. Invariant: a denominator above [normalize_bits] is
+     canonical. Once a term or the reduced sum is that large, batching
+     would only grow an unreduced sum whose next normalisation is a
+     full-size GCD, so such terms fold eagerly through the GMP-style [add]
+     instead. The committed value is identical to an eagerly normalised
+     left fold — same rational, same canonical form. *)
 
   let normalize_bits = 4096
 
   let create () = { num = Zint.zero; den = Nat.one }
   let of_q (q : q) = { num = q.num; den = q.den }
 
-  let normalize acc =
-    let s = make_normalized acc.num acc.den in
-    acc.num <- num s;
-    acc.den <- den s
+  let set acc (s : q) =
+    acc.num <- s.num;
+    acc.den <- s.den
+
+  let big den = Nat.bit_length den > normalize_bits
+  let total acc : q = if big acc.den then { num = acc.num; den = acc.den } else make_normalized acc.num acc.den
 
   let add acc (q : q) =
-    if Arith.reference () then begin
+    if Arith.reference () then
       (* Reference: eager normalisation at every step. *)
-      let s = add_reference { num = acc.num; den = acc.den } q in
-      acc.num <- num s;
-      acc.den <- den s
-    end
+      set acc (add_reference { num = acc.num; den = acc.den } q)
+    else if big acc.den || big q.den then
+      (* a big [acc] is canonical already; a small unreduced one is
+         normalised first (cheap), so [add] sees two canonical operands *)
+      set acc (add (total acc) q)
     else begin
       acc.num <- Zint.add (Zint.mul acc.num (Zint.of_nat q.den)) (Zint.mul q.num (Zint.of_nat acc.den));
       acc.den <- Nat.mul acc.den q.den;
-      if Nat.bit_length acc.den > normalize_bits then normalize acc
+      if big acc.den then set acc (make_normalized acc.num acc.den)
     end
 
   let sub acc (q : q) = add acc (neg q)
-  let total acc : q = make_normalized acc.num acc.den
 end
 
 let sum qs =

@@ -10,11 +10,22 @@
       so their conjunction is the product of stored marginals;
     - {e independent join}: variable-connected components of the open
       atoms touch disjoint fact sets, so components multiply;
-    - {e independent project}: a root variable occurring in every atom
-      of a component ranges over the candidate values read from the
-      smallest supporting relation's index — values outside that support
-      contribute a factor of 1 — giving
+    - {e leaf}: a component that is one open atom is
+      [1 − ∏ (1 − p)] over the rows of its index bucket whose
+      repeated-variable positions agree — distinct rows are distinct
+      independent facts, so the atom is read once, with no recursion;
+    - {e independent project}: in a component of two or more atoms, a
+      root variable occurring in every atom ranges over the candidate
+      values read from the smallest supporting relation's index — values
+      outside that support contribute a factor of 1 — giving
       [1 − ∏ᵥ (1 − Pr(body\[root := v\]))].
+
+    The conjunctions of inclusion–exclusion repeat the union terms'
+    components, so each query keeps a memo from a canonical key of every
+    top-level open component (relation and interned ids, variables
+    renumbered by first occurrence) to its probability: in
+    [A ∨ (A ∧ B)] the conjunction reuses [Pr(A)] and [Pr(B)].
+    [independence] shares one memo across its three unions.
 
     A conjunction is {e safe} here when its open atoms are self-join-free
     with relations disjoint from its ground atoms' and every component
@@ -23,8 +34,9 @@
     atoms of one relation are fine, which inclusion–exclusion relies on.
 
     Exact answers are rationals, independent of chunking and worker
-    count. One budget step is consumed per root candidate substitution
-    (and per Monte-Carlo sample), so step counts are a function of the
+    count. One budget step is consumed per root-candidate substitution,
+    per leaf row folded and per Monte-Carlo sample; a memo hit costs
+    nothing. Step counts are therefore a function of the query and the
     data alone — never of [--jobs]. *)
 
 module Q = Ipdb_bignum.Q
@@ -42,8 +54,8 @@ type outcome =
           (the store is finite), degraded sample counts on budget trips *)
 
 val par_threshold : int
-(** Root-candidate count below which a top-level independent-project
-    never fans out on the pool. *)
+(** Item count (root candidates or leaf rows) below which a top-level
+    fold never fans out on the pool. *)
 
 val ucq_probability :
   ?pool:Ipdb_par.Pool.t ->

@@ -132,6 +132,9 @@ let row_prob tbl row =
      re-verifies the coprimality contract.) *)
   if d <> 0 then Q.of_ints_reduced tbl.pnum.(row) d else Hashtbl.find tbl.spill row
 
+let row_prob_num tbl row = tbl.pnum.(row)
+let row_prob_den tbl row = tbl.pden.(row)
+
 let add t ~rel args p =
   match List.assoc_opt rel t.tables with
   | None -> Error (Printf.sprintf "unknown relation %s" rel)

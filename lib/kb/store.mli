@@ -85,3 +85,11 @@ val cell : rel_handle -> row:int -> pos:int -> int
 
 val row_prob : rel_handle -> int -> Q.t
 (** Exact marginal of a row (small-int fast path or spill table). *)
+
+val row_prob_num : rel_handle -> int -> int
+
+val row_prob_den : rel_handle -> int -> int
+(** The row's marginal as a native coprime pair
+    [row_prob_num / row_prob_den], read without allocating; the
+    denominator is 0 when the marginal is spilled (read it with
+    {!row_prob} then). *)

@@ -101,9 +101,23 @@ digest1=$(grep '^digest: ' "$TMP/out")
 run 0 "kb-stats-again" "$IPDB" kb stats "$TMP/kb.kb"
 [ "$(grep '^digest: ' "$TMP/out")" = "$digest1" ] || fail "kb-stats: digest not stable"
 
+# Golden answers on this kb: every printed rational is pinned byte for
+# byte, so a change of plan cannot drift an answer unnoticed. Shapes:
+# project, join, union, A ∨ (A ∧ B) and a repeated variable.
+golden() {
+  printf '%s\n' "$1" > "$TMP/want"
+  cmp -s "$TMP/out" "$TMP/want" || fail "$2: answer drifted: $(cat "$TMP/out")"
+}
 run 0 "kb-exit0" "$IPDB" kb query "$TMP/kb.kb" 'exists x y. R(x,y)'
-grep -q '^P(∃x\.(∃y\.R(x,y))) = [0-9]*/[0-9]* ≈ 0\.' "$TMP/out" \
-  || fail "kb-exit0: verdict text drifted: $(cat "$TMP/out")"
+golden 'P(∃x.(∃y.R(x,y))) = 24642010070514050993700157811537455479217256585875733191065599999999999/24642010070514050993700157811537455479217256585875733191065600000000000 ≈ 0.99999999' "kb-exit0"
+run 0 "kb-join" "$IPDB" kb query "$TMP/kb.kb" 'exists x y. (R(x,y) & T(x))'
+golden 'P(∃x.(∃y.(R(x,y) ∧ T(x)))) = 426007283/451630080 ≈ 0.94326596' "kb-join"
+run 0 "kb-union" "$IPDB" kb query "$TMP/kb.kb" '(exists x. T(x)) | (exists x y. R(x,y))'
+golden 'P((∃x.T(x)) ∨ (∃x.(∃y.R(x,y)))) = 929355808373672780333834523177984035216193676953027651777331199999999999/929355808373672780333834523177984035216193676953027651777331200000000000 ≈ 0.99999999' "kb-union"
+run 0 "kb-absorb" "$IPDB" kb query "$TMP/kb.kb" '(exists x. T(x)) | ((exists x. T(x)) & (exists x y. R(x,y)))'
+golden 'P((∃x.T(x)) ∨ ((∃x.T(x)) ∧ (∃x.(∃y.R(x,y))))) = 257/264 ≈ 0.97348484' "kb-absorb"
+run 0 "kb-diag" "$IPDB" kb query "$TMP/kb.kb" 'exists x. R(x,x)'
+golden 'P(∃x.R(x,x)) = 53/54 ≈ 0.98148148' "kb-diag"
 run 1 "kb-exit1" "$IPDB" kb query "$TMP/kb.kb" 'T(999999)'
 printf 'P(T(999999)) = 0 ≈ 0.00000000\n' > "$TMP/want"
 cmp -s "$TMP/out" "$TMP/want" || fail "kb-exit1: verdict text drifted: $(cat "$TMP/out")"
@@ -126,8 +140,20 @@ cmp -s "$TMP/out" "$TMP/mc1" || fail "kb-mc: seeded estimate not reproducible"
 
 run 0 "kb-indep" "$IPDB" kb indep "$TMP/kb.kb" 'exists x y. R(x,y)' 'exists x. T(x)'
 grep -qx 'independent: true' "$TMP/out" || fail "kb-indep: disjoint relations not independent"
+golden "$(printf '%s\n' \
+  'P(Q1) = 24642010070514050993700157811537455479217256585875733191065599999999999/24642010070514050993700157811537455479217256585875733191065600000000000' \
+  'P(Q2) = 257/264' \
+  'P(Q1 and Q2) = 6332996588122111105380940557565126058158834942570063430103859199999999743/6505490658615709462336841662245888246513355738671193562441318400000000000' \
+  'P(Q1)*P(Q2) = 6332996588122111105380940557565126058158834942570063430103859199999999743/6505490658615709462336841662245888246513355738671193562441318400000000000' \
+  'independent: true')" "kb-indep"
 run 1 "kb-dep" "$IPDB" kb indep "$TMP/kb.kb" 'exists x. T(x)' 'exists x. T(x)'
 grep -qx 'independent: false' "$TMP/out" || fail "kb-dep: self-dependence missed"
+golden "$(printf '%s\n' \
+  'P(Q1) = 257/264' \
+  'P(Q2) = 257/264' \
+  'P(Q1 and Q2) = 257/264' \
+  'P(Q1)*P(Q2) = 66049/69696' \
+  'independent: false')" "kb-dep"
 
 # ------------------------------------------- CLI --trace and --metrics
 run 0 "cli-trace" "$IPDB" criterion geometric --upto 2000 --trace "$TMP/c.jsonl" --metrics

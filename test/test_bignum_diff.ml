@@ -138,10 +138,50 @@ let gen_straddle_pair st =
 (* Nat: limb algorithms vs their reference duals                        *)
 (* ------------------------------------------------------------------ *)
 
+(* A Nat of exactly [limbs] 30-bit limbs (top limb nonzero). *)
+let nat_of_limbs st limbs =
+  let r = ref Nat.zero in
+  for i = 1 to limbs do
+    let limb = if i = 1 then 1 + Random.State.int st ((1 lsl 30) - 1) else Random.State.bits st in
+    r := Nat.add (Nat.shift_left !r 30) (Nat.of_int limb)
+  done;
+  !r
+
+(* The decimal conversion as it was before the in-place division:
+   repeated [divmod] by 10^9 on fresh quotients. *)
+let to_string_by_divmod a =
+  if Nat.is_zero a then "0"
+  else begin
+    let chunk = Nat.of_int 1_000_000_000 in
+    let rec go a acc =
+      if Nat.is_zero a then acc
+      else begin
+        let q, r = Nat.divmod a chunk in
+        go q (Nat.to_int_exn r :: acc)
+      end
+    in
+    match go a [] with
+    | [] -> "0"
+    | first :: rest -> String.concat "" (string_of_int first :: List.map (Printf.sprintf "%09d") rest)
+  end
+
 let nat_diff =
   [ prop ~count:1500 "mul = mul_classical" (fun st ->
         let a = gen_nat st and b = gen_nat st in
         Nat.equal (Nat.mul a b) (Nat.mul_classical a b));
+    (* Unbalanced operands: the long one is cut into blocks (at or above
+       the Karatsuba threshold) or multiplied classically (below it). *)
+    prop ~count:12 "mul = mul_classical on unbalanced operands" (fun st ->
+        let short = pick st [| 1; 40; Nat.karatsuba_threshold; Nat.karatsuba_threshold + 7; 150 |] in
+        let long = pick st [| (2 * short) + 1; (5 * short) + 3; 4000 |] in
+        let a = nat_of_limbs st short and b = nat_of_limbs st long in
+        Nat.equal (Nat.mul a b) (Nat.mul_classical a b) && Nat.equal (Nat.mul b a) (Nat.mul_classical a b));
+    prop ~count:3 "to_string = divmod conversion on 4000-limb values" (fun st ->
+        let a = nat_of_limbs st (4000 + Random.State.int st 100) in
+        String.equal (Nat.to_string a) (to_string_by_divmod a));
+    prop ~count:300 "to_string = divmod conversion" (fun st ->
+        let a = gen_nat st in
+        String.equal (Nat.to_string a) (to_string_by_divmod a));
     prop ~count:1500 "divmod = divmod_reference" (fun st ->
         let a = gen_nat st and b = gen_nat st in
         let b = if Nat.is_zero b then Nat.one else b in
@@ -236,6 +276,30 @@ let helper_diff =
         in
         (* total twice: the accumulator must stay usable *)
         q_same (Q.Accum.total acc) eager && q_same (Q.Accum.total acc) eager);
+    (* Terms with >= 10^5-bit denominators take the eager path: a small
+       unreduced sum is normalised before a big term joins it, and a big
+       sum is never renormalised in full. Every term is c/p^e with a small
+       c and one prime p, so each GCD on the way (eager, batched or
+       reference) takes a few Euclid steps instead of the ~1 s a random
+       10^5-bit GCD costs. *)
+    prop ~count:3 "Accum = eager signed fold on 10^5-bit operands" (fun st ->
+        let p = pick st [| 3; 7; 11; 13 |] in
+        let k = int_of_float (Float.ceil (100_000. /. Float.log2 (float_of_int p))) in
+        let pk = Nat.pow (Nat.of_int p) k in
+        let term big =
+          let c = (1 + Random.State.int st 50) * if Random.State.bool st then 1 else -1 in
+          let pe = Nat.pow (Nat.of_int p) (Random.State.int st 4) in
+          Q.make (Zint.of_int c) (Zint.of_nat (if big then Nat.mul pk pe else pe))
+        in
+        (* small, small, big (joins an unreduced sum), small (onto a big
+           sum), big (big + big), small *)
+        let ops = List.map (fun big -> (Random.State.bool st, term big)) [ false; false; true; false; true; false ] in
+        let acc = Q.Accum.create () in
+        List.iter (fun (add, x) -> if add then Q.Accum.add acc x else Q.Accum.sub acc x) ops;
+        let eager =
+          List.fold_left (fun t (add, x) -> if add then Q.add t x else Q.sub t x) Q.zero ops
+        in
+        q_same (Q.Accum.total acc) eager);
     prop ~count:500 "Powtab = Q.pow across a shared table" (fun st ->
         let b = gen_q st in
         let b = if Q.is_zero b then Q.half else b in

@@ -141,7 +141,7 @@ let metamorphic_invariance c =
 (* ------------------------------------------------------------------ *)
 
 let test_parallel_matches_serial () =
-  (* Enough root candidates to clear par_threshold so the pool path runs. *)
+  (* Enough leaf rows to clear par_threshold so the pool path runs. *)
   let n = Lifted.par_threshold + 500 in
   let sch = Schema.make [ ("T", 1) ] in
   let ti = Generate.ti (Generate.rng 11) ~schema:sch ~facts:n ~universe:(4 * n) in
@@ -163,7 +163,137 @@ let test_parallel_matches_serial () =
       Alcotest.(check bool) "parallel marginal bit-identical" true (Q.equal p_serial p_par);
       Alcotest.(check string) "identical printed form" (q_str p_serial) (q_str p_par);
       Alcotest.(check int) "step count independent of jobs" steps_serial steps_par;
-      Alcotest.(check int) "one step per root candidate" n steps_serial)
+      Alcotest.(check int) "one step per leaf row" n steps_serial)
+
+(* ------------------------------------------------------------------ *)
+(* Leaf rule, component memo and the lazy refusal                       *)
+(* ------------------------------------------------------------------ *)
+
+let parse text = match Ipdb_logic.Parser.sentence text with Ok phi -> phi | Error e -> failwith ("parse: " ^ e)
+
+(* The exact answer and the budget steps it charged. *)
+let exact_steps ?pool store text =
+  let budget = Budget.make ~max_steps:max_int () in
+  match Lifted.query ?pool ~budget store (parse text) with
+  | Ok (Lifted.Exact p) -> (p, Budget.steps_used budget)
+  | Ok (Lifted.Estimated _) -> fail "%s: estimated, not exact" text
+  | Error e -> fail "%s: %s" text (Error.message e)
+
+let agrees ti store text =
+  let p, _ = exact_steps store text in
+  let want = Pqe.boolean_probability_exact ti (parse text) in
+  Q.equal p want || fail "%s: lifted %s <> enumeration %s" text (q_str p) (q_str want)
+
+let rows_where ti rel pred =
+  List.length (List.filter (fun (f, _) -> Fact.rel f = rel && pred (Fact.args f)) (Ti.Finite.facts ti))
+
+(* A single open atom folds its consistent rows: repeated variables keep
+   only rows whose positions agree, constants select the index bucket,
+   and every folded row costs one step. *)
+let leaf_rule_agrees c =
+  let ti = ti_of c in
+  let store = store_of_ti ti in
+  List.for_all (agrees ti store)
+    [
+      "exists x. R(x,x)";
+      "exists y. R(1,y)";
+      "exists x. S(x,2)";
+      "exists x y. S(x,y)";
+      "exists x. (R(x,x) & T(0))";
+      "exists x y. (R(x,x) & S(y,1))";
+    ]
+  &&
+  let steps text want = snd (exact_steps store text) = want || fail "%s: steps <> %d rows" text want in
+  steps "exists x. R(x,x)" (rows_where ti "R" (function [ a; b ] -> Value.equal a b | _ -> false))
+  && steps "exists y. R(1,y)" (rows_where ti "R" (function a :: _ -> Value.equal a (Value.int 1) | _ -> false))
+  && steps "exists x y. S(x,y)" (rows_where ti "S" (fun _ -> true))
+
+(* Union terms sharing components up to renaming: the answers match
+   enumeration, and each distinct component is charged once per query. *)
+let shared_components_agree c =
+  let ti = ti_of c in
+  let store = store_of_ti ti in
+  let a = "exists x. T(x)" and b = "exists x y. S(x,y)" in
+  let qq = "(exists x y. S(x,y)) | (exists u v. S(u,v))" in
+  let absorb = "(exists x. T(x)) | ((exists x. T(x)) & (exists x y. S(x,y)))" in
+  let union = "(exists x. T(x)) | (exists x y. S(x,y))" in
+  List.for_all (agrees ti store) [ qq; absorb; union ]
+  &&
+  let pa, sa = exact_steps store a and pb, sb = exact_steps store b in
+  let steps text want = snd (exact_steps store text) = want || fail "%s: steps <> %d" text want in
+  let indep () =
+    let budget = Budget.make ~max_steps:max_int () in
+    match Lifted.independence ~budget store (parse a) (parse b) with
+    | Ok (_, p1, p2, p12) -> Q.equal p12 (Q.mul p1 p2) && Budget.steps_used budget = sa + sb
+    | Error e -> fail "independence: %s" (Error.message e)
+  in
+  (* a zero factor short-circuits a conjunction, which would skip a
+     component; the step identities hold when both are nonzero *)
+  steps qq sb
+  && (Q.is_zero pa || Q.is_zero pb || (steps absorb (sa + sb) && steps union (sa + sb) && indep ()))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* A root with no candidates never looks at its body, so an unsafe
+   sub-plan under it is never reached and the answer is an exact 0. *)
+let test_lazy_unsafe () =
+  let relations = [ ("U", 3); ("R", 2); ("S", 2) ] in
+  let facts =
+    [
+      (Fact.make "R" [ Value.int 0; Value.int 1 ], Q.of_ints 1 2);
+      (Fact.make "S" [ Value.int 0; Value.int 2 ], Q.of_ints 1 3);
+    ]
+  in
+  let text = "exists x y z. (U(x,y,z) & R(x,y) & S(x,z))" in
+  let ti = Ti.Finite.make (Schema.make relations) facts in
+  (match Lifted.query (store_of_ti ti) (parse text) with
+  | Ok (Lifted.Exact p) ->
+      Alcotest.(check string) "exact zero" "0" (q_str p);
+      Alcotest.(check bool) "matches enumeration" true (Q.equal p (Pqe.boolean_probability_exact ti (parse text)))
+  | Ok (Lifted.Estimated _) -> Alcotest.fail "estimated"
+  | Error e -> Alcotest.fail (Error.message e));
+  let u = (Fact.make "U" [ Value.int 0; Value.int 1; Value.int 2 ], Q.of_ints 1 2) in
+  match Lifted.query (store_of_ti (Ti.Finite.make (Schema.make relations) (u :: facts))) (parse text) with
+  | Error (Error.Validation { msg; _ }) ->
+      Alcotest.(check bool) "the sub-plan is refused once reached" true (contains msg "no root variable")
+  | _ -> Alcotest.fail "a reachable unsafe sub-plan must be refused"
+
+(* Leaf folds straddling par_threshold: answers and step counts are
+   identical without a pool and at jobs 1, 2 and 3. *)
+let test_leaf_jobs_invariance () =
+  let pools = List.map (fun jobs -> Pool.create ~jobs ()) [ 1; 2; 3 ] in
+  Fun.protect ~finally:(fun () -> List.iter Pool.shutdown pools) @@ fun () ->
+  List.iter
+    (fun n ->
+      let store = Store.create [ ("S", 2); ("T", 1); ("U", 1) ] in
+      let add rel args p = match Store.add store ~rel args p with Ok () -> () | Error m -> Alcotest.fail m in
+      for i = 1 to n do
+        add "S" [| Value.int i; Value.int (i mod 5) |] (Q.of_ints 1 (2 + (i mod 89)))
+      done;
+      for i = 0 to 9 do
+        add "T" [| Value.int i |] (Q.of_ints (1 + i) 12)
+      done;
+      List.iter
+        (fun text ->
+          let label = Printf.sprintf "n=%d %s" n text in
+          let show (p, steps) = Printf.sprintf "%s in %d steps" (q_str p) steps in
+          let serial = show (exact_steps store text) in
+          List.iteri
+            (fun i pool ->
+              Alcotest.(check string) (Printf.sprintf "%s: jobs=%d" label (i + 1)) serial (show (exact_steps ~pool store text)))
+            pools)
+        [ "exists x y. S(x,y)"; "exists x y. (S(x,y) & T(y))"; "(exists x. T(x)) | (exists x y. S(x,y))" ];
+      Alcotest.(check int) (Printf.sprintf "n=%d: one step per leaf row" n) n (snd (exact_steps store "exists x y. S(x,y)"));
+      (* a certain fact (marginal 1/1) makes its leaf certain, also when
+         it is the only row of the relation *)
+      add "T" [| Value.int 10 |] Q.one;
+      add "U" [| Value.int 0 |] Q.one;
+      Alcotest.(check string) "certain row" "1" (q_str (fst (exact_steps store "exists x. T(x)")));
+      Alcotest.(check string) "lone certain row" "1" (q_str (fst (exact_steps store "exists x. U(x)"))))
+    [ Lifted.par_threshold - 1; Lifted.par_threshold; Lifted.par_threshold + 1 ]
 
 (* ------------------------------------------------------------------ *)
 (* Store unit tests                                                    *)
@@ -386,6 +516,10 @@ let () =
           prop ~count:150 "union reordering and CQ renaming are invisible" arb_kb_case metamorphic_invariance;
           Alcotest.test_case "pool fan-out is bit-identical and step-invariant" `Quick test_parallel_matches_serial;
           Alcotest.test_case "exact independence certification" `Quick test_independence;
+          prop ~count:150 "leaf rule = enumeration, one step per folded row" arb_kb_case leaf_rule_agrees;
+          prop ~count:150 "shared components: enumeration, each charged once" arb_kb_case shared_components_agree;
+          Alcotest.test_case "no candidates: an unsafe sub-plan is never reached" `Quick test_lazy_unsafe;
+          Alcotest.test_case "leaf folds at par_threshold±1: jobs 1/2/3 identical" `Quick test_leaf_jobs_invariance;
         ] );
       ( "store",
         [

@@ -307,19 +307,25 @@ let test_budget_cancel_latch () =
 (* kb fan-out threshold boundary                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The lifted engine hands root candidates to the pool only from
-   par_threshold items up. Straddle the boundary exactly — threshold-1
-   (serial), threshold (one full chunk) and threshold+1 (a full chunk
-   plus a 1-item tail) — and require the marginal, its printed form and
-   the budget step count to be independent of the path taken. *)
+(* The lifted engine hands a top-level fold to the pool only from
+   par_threshold items up. ∃x T(x) is a single open atom, so it takes the
+   leaf rule and the items are T's rows. Straddle the boundary exactly —
+   threshold-1 (serial), threshold (one full chunk) and threshold+1 (a
+   full chunk plus a 1-item tail) — and require the marginal, its printed
+   form and the budget step count to be independent of the path taken. *)
 let test_kb_par_threshold_boundary () =
   let module Store = Ipdb_kb.Store in
   let module Lifted = Ipdb_kb.Lifted in
   let module Q = Ipdb_bignum.Q in
   let module Value = Ipdb_relational.Value in
   let module Fo = Ipdb_logic.Fo in
+  let module Metrics = Ipdb_obs.Metrics in
   let phi = Fo.Exists ("x", Fo.Atom ("T", [ Fo.V "x" ])) in
   let pool = pool_of_index 2 (* jobs=8 *) in
+  let leaf_rows = Metrics.counter "kb.query.leaf_rows" in
+  let was_on = Metrics.enabled () in
+  Metrics.enable ();
+  Fun.protect ~finally:(fun () -> if not was_on then Metrics.disable ()) @@ fun () ->
   List.iter
     (fun n ->
       let store = Store.create [ ("T", 1) ] in
@@ -335,13 +341,16 @@ let test_kb_par_threshold_boundary () =
         | Ok (Lifted.Estimated _) -> Alcotest.fail "safe query fell back to sampling"
         | Error e -> Alcotest.fail (Ipdb_run.Error.message e)
       in
+      let before = Metrics.value leaf_rows in
       let p_serial, steps_serial = run () in
+      let folded = Metrics.value leaf_rows - before in
       let p_par, steps_par = run ~pool () in
       let label = Printf.sprintf "n=%d (threshold%+d)" n (n - Lifted.par_threshold) in
+      Alcotest.(check int) (label ^ ": takes the leaf rule, folding every row") n folded;
       Alcotest.(check bool) (label ^ ": bit-identical marginal") true (Q.equal p_serial p_par);
       Alcotest.(check string) (label ^ ": identical printed form") (Q.to_string p_serial) (Q.to_string p_par);
       Alcotest.(check int) (label ^ ": step count independent of path") steps_serial steps_par;
-      Alcotest.(check int) (label ^ ": one step per candidate") n steps_serial)
+      Alcotest.(check int) (label ^ ": one step per leaf row") n steps_serial)
     [ Lifted.par_threshold - 1; Lifted.par_threshold; Lifted.par_threshold + 1 ]
 
 let () =
