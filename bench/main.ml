@@ -1021,7 +1021,7 @@ let () =
     ]
   in
   (match
-     Reduce.map_fold pool
+     Reduce.map_fold (Some pool)
        ~map:(fun exp -> (exp, run_experiment ~completed ~wanted exp))
        ~fold:(fun () (exp, outcome) ->
          finish exp outcome;

@@ -50,9 +50,9 @@ val check_series :
 (** Validate the certificate on the computed prefix and produce the
     verdict, consuming one budget step per term. Never raises: faults in
     term evaluation or certificate validation surface as
-    {!Invalid_certificate} / {!Check_failed}. With [?pool] the chunked
-    parallel series engines run instead — completed verdicts are
-    bit-identical to the sequential ones for any worker count (see
+    {!Invalid_certificate} / {!Check_failed}. With [?pool] the series
+    engine's chunks are evaluated on the pool, without one inline —
+    verdicts are bit-identical either way and for any worker count (see
     {!Ipdb_series.Series.sum_resumable}). *)
 
 val moment_verdict :
@@ -75,10 +75,11 @@ val verdict_to_string : series_verdict -> string
     The [_resumable] variants thread {!Ipdb_series.Series.Snapshot}s
     through the budgeted engines: [from] restarts a check from the exact
     state a previous (budget-exhausted) run stopped at, and [progress]
-    observes the state every [progress_every] terms so callers can
-    checkpoint mid-flight. Because the engines are sequential folds over
-    exactly-persisted state, an interrupted-and-resumed check returns the
-    same verdict, bit for bit, as an uninterrupted one. *)
+    observes the state at chunk ends, about every [progress_every] terms,
+    so callers can checkpoint mid-flight. Because the engines fold in
+    index order over exactly-persisted state, an interrupted-and-resumed
+    check returns the same verdict, bit for bit, as an uninterrupted
+    one. *)
 
 val check_series_resumable :
   ?pool:Ipdb_par.Pool.t ->

@@ -384,6 +384,7 @@ let geometric =
   let family =
     Family.make ~name:"geometric" ~schema:unary_schema
       ~instance:(fun n -> Instance.of_list [ Fact.make "R" [ Value.Int n ] ])
+      ~size:(fun _ -> 1)
       ~prob:(fun n -> Float.ldexp 1.0 (-n))
       ~prob_q ~start:1
       ~prob_tail:(Series.Tail.Geometric { index = 1; first = 0.5; ratio = 0.5 })

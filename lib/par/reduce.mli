@@ -10,7 +10,7 @@
     lazily produced) input sequence. *)
 
 val map_fold :
-  Pool.t ->
+  Pool.t option ->
   ?window:int ->
   map:('a -> 'b) ->
   fold:('acc -> 'b -> ('acc, 'stop) result) ->
@@ -27,6 +27,12 @@ val map_fold :
     [window] (default [4 * Pool.jobs pool], min 1) is the wave size: each
     wave pulls up to [window] items, maps them concurrently (a barrier),
     then folds them in order before pulling the next wave.
+
+    With [None] for the pool the same reduction runs inline on the
+    calling domain, one item at a time: each item is pulled, mapped and
+    folded before the next is pulled, and [window] is ignored.  The
+    folded result is the same as with any pool, since the fold order is
+    the input order either way.
 
     The input sequence is pulled at most once per element; effectful
     sequences (e.g. budget-admission wrappers) are safe. *)

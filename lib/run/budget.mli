@@ -4,7 +4,8 @@
     (term-evaluation) budget, and a cancellation flag — and is threaded
     through long-running certified computations ([Series.sum_budgeted],
     [Criteria.check_series], [Classifier.classify]). The computation calls
-    {!check} once per unit of work; when any limit trips, the computation
+    {!check} once per unit of work, or {!reserve} once per block of units;
+    when any limit trips, the computation
     stops and degrades to a {e certified partial verdict} carrying whatever
     evidence was accumulated, rather than hanging or crashing.
 
@@ -13,10 +14,10 @@
     step count is cumulative across calls. Budgets are domain-safe: the
     step counter is an [Atomic.t] and the first exhaustion to trip is
     latched atomically, so a budget shared across a pool of domains cannot
-    under-count steps or miss a cancellation. The parallel series engines
-    consume steps in chunk-sized blocks via {!reserve} (on the admitting
-    domain, in chunk order — keeping step exhaustion deterministic) and
-    poll the deadline/cancel flag from workers via {!poll}. *)
+    under-count steps or miss a cancellation. The series engines consume
+    steps in chunk-sized blocks via {!reserve} (on the admitting domain,
+    in chunk order — keeping step exhaustion deterministic) and poll the
+    deadline/cancel flag once per chunk via {!poll}. *)
 
 type t
 

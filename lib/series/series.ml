@@ -4,12 +4,13 @@ type term = int -> float
    Multiplying by the constant 2^-48 is bit-identical to
    [Float.ldexp _ (-48)] (both are correctly rounded images of the same
    real number) but allocation-free in the per-term loops, where the
-   cross-module [ldexp]/[Float.max] calls used to box every operand. On a
+   cross-module [ldexp]/[Float.max] calls used to box every operand;
+   inlined, so its float result is not boxed either. On a
    NaN argument this returns a finite junk value where the old expression
    returned NaN; every use site compares [_ +. slack]/[_ -. slack] against
    a term, and comparisons against NaN operands are false either way, so
    the decisions are unchanged. *)
-let ulp_slack x =
+let[@inline] ulp_slack x =
   let ax = Float.abs x in
   (if ax > Float.min_float then ax else Float.min_float) *. 0x1p-48
 
@@ -45,6 +46,14 @@ module Tail = struct
     | Geometric { index; first; ratio } -> first *. (ratio ** float_of_int (n - index))
     | P_series { coeff; p; _ } -> coeff /. (float_of_int n ** p)
     | Exponential { coeff; rate; _ } -> coeff *. (rate ** float_of_int n)
+
+  (* The pointwise hypothesis at [n], with the validation slack. The
+     engine calls this once per term. It stays out of line: inlined into
+     the engine's term loop, the same check measured ~20% slower per term
+     on p-series tails (x86-64, OCaml 5.1 without flambda). *)
+  let within t n a =
+    let b = pointwise_bound t n in
+    a <= b +. ulp_slack b
 
   let params_ok = function
     | Finite_support _ -> Ok ()
@@ -212,7 +221,9 @@ let m_widenings = Metrics.counter "series.widenings"
 (* One interval accumulation with the widening counter: a "widening" is a
    fold step that strictly grew the enclosure's width (rounding slack
    picked up beyond the point terms themselves). The count depends only
-   on the index-ordered fold, so it is identical for every worker count. *)
+   on the index-ordered fold, so it is identical for every worker count.
+   This is the reference-arithmetic fold step, the oracle that
+   [fold_terms_fast] must match bit for bit and count for count. *)
 let accumulate acc a =
   let acc' = Interval.add acc (Interval.point a) in
   if Metrics.enabled () && Interval.width acc' > Interval.width acc then Metrics.incr m_widenings;
@@ -273,69 +284,99 @@ let admit_chunks ~budget ~stop plan =
   in
   admit plan
 
-(* Worker-side budget poll for chunks whose steps were reserved up front:
-   an admitted chunk must run to completion under a pure step budget (or
-   the stop index would depend on scheduling), so latched step exhaustion
-   is ignored here; only wall-clock and cancellation cut a chunk short. *)
+(* Chunk-start budget poll for chunks whose steps were reserved at
+   admission: an admitted chunk must run to completion under a pure step
+   budget (or the stop index would depend on scheduling), so latched step
+   exhaustion is ignored here; only wall-clock and cancellation cut a
+   chunk, and only before its first term. *)
 let poll_cut budget =
   match Budget.poll budget with
   | Ok () | Error (Run_error.Steps _) -> None
   | Error e -> Some e
 
-(* The tight loops below are pure engine-overhead removal. They are taken
-   only when every per-term hook is provably inert: the budget can never
-   trip ([Budget.check] on an unlimited budget is a branch that updates
-   nothing), metrics and tracing are off ([Metrics.incr] would be a
-   no-op), and the term/certificate fault sites are not armed ([fire]
-   would not raise). Under those conditions the instrumented loops and
-   the tight loops are observationally identical: same term evaluations
-   in the same order, same directed-rounding accumulation, same progress
-   emission points, same snapshots, bit for bit. IPDB_ARITH_REFERENCE=1
-   disqualifies them, forcing the original instrumented loops. *)
-let fast_eligible budget =
-  (not (Ipdb_bignum.Arith.reference ()))
-  && Budget.is_unlimited budget
-  && (not (Metrics.enabled ()))
-  && (not (Trace.enabled ()))
-  && (not (Faultinj.armed Faultinj.Term_eval))
-  && not (Faultinj.armed Faultinj.Certificate)
+(* Run one admitted chunk: its span, the chunk counter, the chunk-start
+   deadline/cancel poll ([cut] builds the outcome of a chunk cut there),
+   then [eval]. Metrics are per chunk, not per term: [terms] reads the
+   number of term evaluations off the outcome — a term that raised, was
+   not a non-negative number or failed its check counts — and
+   series.terms gets one add. *)
+let run_chunk ~budget ~cut ~terms eval (c : Chunk.t) =
+  Metrics.incr m_chunks;
+  Trace.with_span "series.chunk" ~attrs:[ ("lo", OJson.Int c.Chunk.lo); ("hi", OJson.Int c.Chunk.hi) ]
+  @@ fun () ->
+  let outcome = match poll_cut budget with Some exh -> cut exh | None -> eval c in
+  Metrics.add m_terms (terms outcome);
+  outcome
 
-(* Directed rounding for the tight loops, locally unboxed. Semantically
-   identical to [Interval.down]/[Interval.up]: [x -. x = 0.0] is the
-   allocation-free finiteness test and [Float.pred]/[Float.succ] are
-   defined as [next_after] toward the corresponding infinity. Declared
+let chunk_size = function Some s -> Stdlib.max 1 s | None -> Chunk.default_size
+let injected site = Run_error.Injected_fault { site = Faultinj.site_name site }
+
+(* Directed rounding for the chunk fold, locally unboxed. Semantically
+   identical to [Interval.down]/[Interval.up], i.e. [Float.pred]/
+   [Float.succ] on finite values and the identity otherwise. Declared
    here because without flambda a cross-module call boxes its float
    argument and result — at two rounded additions per term that boxing
-   dominated the accumulation loops. The metamorphic suite pins the
-   equivalence by comparing fast-mode enclosures with reference-mode ones
-   bit for bit. *)
+   dominated the accumulation loops.
+
+   For 2^-960 <= |x| <= max_float the neighbour is computed with an
+   unfused multiply and add in round-to-nearest: x ± |x|·φ with
+   φ = 2^-53·(1 + 2^-52) = 0x1.0000000000001p-53 is exactly succ/pred x
+   away from the underflow threshold (Rump, Zimmermann, Boldo and
+   Melquiond, "Computing predecessor and successor in rounding to
+   nearest", BIT 49, 2009).
+   Their extra η = 2^-1074 term is below half an ulp of |x|·φ in this
+   range, so it is dropped. Everything else — tiny, zero, infinite, NaN —
+   takes the [next_after] call, with [x -. x = 0.0] as the
+   allocation-free finiteness test. The fold is a serial chain through
+   these roundings, so a C call per step would be its critical path. The
+   metamorphic suite pins the equivalence by comparing fast-mode
+   enclosures with reference-mode ones bit for bit, across the whole
+   exponent range. *)
 external next_after : float -> float -> float = "caml_nextafter_float" "caml_nextafter"
   [@@unboxed] [@@noalloc]
 
-let[@inline] round_down x = if x -. x = 0.0 then next_after x Float.neg_infinity else x
-let[@inline] round_up x = if x -. x = 0.0 then next_after x Float.infinity else x
+let[@inline] round_down x =
+  let ax = Float.abs x in
+  if ax >= 0x1p-960 && ax <= Float.max_float then x -. (ax *. 0x1.0000000000001p-53)
+  else if x -. x = 0.0 then next_after x Float.neg_infinity
+  else x
+
+let[@inline] round_up x =
+  let ax = Float.abs x in
+  if ax >= 0x1p-960 && ax <= Float.max_float then x +. (ax *. 0x1.0000000000001p-53)
+  else if x -. x = 0.0 then next_after x Float.infinity
+  else x
 
 (* Index-ordered fold of [accumulate] over a chunk's terms with the
-   endpoints kept in local refs (the instrumented path allocates one
+   endpoints kept in local refs (the reference fold allocates one
    interval per term). Same additions, same [down]/[up] rounding, so the
-   resulting interval is bit-identical to [Array.fold_left accumulate]. *)
+   resulting interval is bit-identical to [Array.fold_left accumulate];
+   widenings are counted with the same strict width test in a local and
+   added to series.widenings once per chunk. *)
 let fold_terms_fast acc arr =
   let lo = ref (Interval.lo acc) and hi = ref (Interval.hi acc) in
+  let widened = ref 0 in
   for j = 0 to Array.length arr - 1 do
     let a = Array.unsafe_get arr j in
-    lo := round_down (!lo +. a);
-    hi := round_up (!hi +. a)
+    let lo' = round_down (!lo +. a) and hi' = round_up (!hi +. a) in
+    if hi' -. lo' > !hi -. !lo then incr widened;
+    lo := lo';
+    hi := hi'
   done;
+  Metrics.add m_widenings !widened;
   Interval.make !lo !hi
 
 (* Recycling pool for chunk term buffers. A worker pops a buffer (or
    allocates on miss), fills every slot it reports, and the admitting
-   domain returns it after folding — so a run keeps a handful of live
-   buffers instead of churning one major-heap array per chunk (each array
-   is chunk-sized, well past the minor-alloc cutoff, and the churn showed
-   up as dozens of major collections per run). Only full-size buffers are
-   recycled; the odd-sized final chunk's buffer is simply dropped. The
-   Treiber-stack handoff publishes the buffer contents between domains. *)
+   domain returns it after folding — so the process keeps a handful of
+   live buffers instead of churning one major-heap array per chunk (each
+   array is chunk-sized, well past the minor-alloc cutoff, and the churn
+   showed up as dozens of major collections per run). Only buffers of the
+   default chunk size are recycled; other sizes (the odd-sized final
+   chunk, a caller's [?chunk]) are allocated and dropped. The pools are
+   shared by all runs, so a caller that runs many short sums, like the
+   serve daemon, allocates no buffer per call. The Treiber-stack handoff
+   publishes the buffer contents between domains. *)
 type 'a buf_pool = { bufs : 'a array list Atomic.t; want : int; blank : 'a }
 
 let buf_pool_make want blank = { bufs = Atomic.make []; want; blank }
@@ -353,6 +394,9 @@ let rec buf_give p b =
     let old = Atomic.get p.bufs in
     if not (Atomic.compare_and_set p.bufs old (b :: old)) then buf_give p b
   end
+
+let term_bufs = buf_pool_make Chunk.default_size 0.0
+let pick_bufs = buf_pool_make Chunk.default_size 0
 
 type partial = {
   enclosure : Interval.t option;
@@ -388,49 +432,6 @@ let certify_divergence ?(start = 0) f ~certificate ~upto =
 type divergence_budgeted =
   | Div_complete of { partial : float; at : int }
   | Div_exhausted of { partial : float; minorant : float; last : int; requested : int; exhausted : Run_error.exhaustion }
-
-exception Stop of Run_error.exhaustion
-
-let certify_divergence_budgeted ?(start = 0) ?(budget = Budget.unlimited) f ~certificate ~upto =
-  ignore start;
-  traced_engine "series.divergence" ~pooled:false
-    ~start:(Divergence.start_index certificate) ~upto ~budget
-    ~outcome:(function Div_complete _ -> "complete" | Div_exhausted _ -> "exhausted")
-  @@ fun () ->
-  (* The minorant checkers have four different traversal orders; rather than
-     fusing a budget into each, the term function itself is instrumented:
-     it pays one budget step per evaluation and accumulates each distinct
-     index's term into the witness partial sum. *)
-  let acc = ref 0.0 in
-  let seen = ref min_int in
-  let wrapped n =
-    (match Budget.check budget with Error reason -> raise (Stop reason) | Ok () -> ());
-    Metrics.incr m_terms;
-    Faultinj.fire Faultinj.Term_eval;
-    let a = f n in
-    if n > !seen then begin
-      seen := n;
-      if not (Float.is_nan a) then acc := !acc +. a
-    end;
-    a
-  in
-  match Divergence.validate certificate wrapped ~upto with
-  | exception Stop exhausted ->
-    let last = if !seen = min_int then Divergence.start_index certificate - 1 else !seen in
-    Ok
-      (Div_exhausted
-         {
-           partial = !acc;
-           minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
-           last;
-           requested = upto;
-           exhausted;
-         })
-  | exception Faultinj.Injected site -> Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-  | exception e ->
-    Error (Run_error.Certificate { what = "divergence certificate"; msg = "term evaluation raised " ^ Printexc.to_string e })
-  | Error msg -> Error (Run_error.Certificate { what = "divergence certificate"; msg })
-  | Ok () -> Ok (Div_complete { partial = !acc; at = upto })
 
 (* ------------------------------------------------------------------ *)
 (* Snapshots and resumable engines                                      *)
@@ -573,31 +574,6 @@ let sum_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unlimited) ?from ?
     | Ok (n0, acc0) ->
       let snapshot n acc = Snapshot.Sum_state { sum_start = start; next = n; prefix = acc } in
       let check_from = Stdlib.max start (Tail.start_index tail) in
-      let fast = fast_eligible budget in
-      let eval =
-        if fast then f
-        else fun n ->
-          Metrics.incr m_terms;
-          Faultinj.fire Faultinj.Term_eval;
-          f n
-      in
-      let validate =
-        if fast then fun n a ->
-          if n < check_from then Ok ()
-          else begin
-            let b = Tail.pointwise_bound tail n in
-            if a <= b +. ulp_slack b then Ok ()
-            else Error (Printf.sprintf "term %d = %g exceeds certified bound %g" n a b)
-          end
-        else fun n a ->
-          if n < check_from then Ok ()
-          else begin
-            Faultinj.fire Faultinj.Certificate;
-            let b = Tail.pointwise_bound tail n in
-            if a <= b +. ulp_slack b then Ok ()
-            else Error (Printf.sprintf "term %d = %g exceeds certified bound %g" n a b)
-          end
-      in
       let stop acc last exhausted =
         let enclosure =
           match tail_bound_opt tail (last + 1) with
@@ -608,173 +584,102 @@ let sum_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unlimited) ?from ?
           ( Exhausted { enclosure; prefix = acc; last; requested = upto; exhausted },
             snapshot (last + 1) acc )
       in
-      let tick n acc =
-        match progress with
-        | Some emit when (n - n0) mod progress_every = 0 -> emit (snapshot n acc)
-        | _ -> ()
+      (* Workers (or the calling domain, without a pool) evaluate and
+         validate each admitted chunk's terms into a recycled buffer; the
+         interval fold below replays them strictly in index order on the
+         calling domain, so the enclosure is bit-identical for every
+         worker count and without a pool. *)
+      let size = chunk_size chunk in
+      let admit_stop = ref None in
+      let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:n0 ~upto ()) in
+      let term_error n msg = Run_error.Certificate { what = Printf.sprintf "term %d" n; msg } in
+      let eval_chunk (c : Chunk.t) =
+        (* Fault sites are read once per chunk: unarmed, each costs a branch. *)
+        let term_fault = Faultinj.armed Faultinj.Term_eval in
+        let cert_fault = Faultinj.armed Faultinj.Certificate in
+        let arr = buf_take term_bufs (Chunk.length c) in
+        let rec at n =
+          if n > c.Chunk.hi then `Terms arr
+          else
+            match
+              if term_fault then Faultinj.fire Faultinj.Term_eval;
+              f n
+            with
+            | exception Faultinj.Injected site -> `Fail (n, injected site)
+            | exception e -> `Fail (n, term_error n ("term evaluation raised " ^ Printexc.to_string e))
+            | a ->
+              if Float.is_nan a || a < 0.0 then
+                `Fail (n, term_error n (Printf.sprintf "term is not a non-negative number (%g)" a))
+              else if n < check_from then begin
+                arr.(n - c.Chunk.lo) <- a;
+                at (n + 1)
+              end
+              else begin
+                match
+                  if cert_fault then
+                    match Faultinj.fire Faultinj.Certificate with
+                    | () -> None
+                    | exception Faultinj.Injected site -> Some site
+                  else None
+                with
+                | Some site -> `Fail (n, injected site)
+                | None ->
+                  if Tail.within tail n a then begin
+                    arr.(n - c.Chunk.lo) <- a;
+                    at (n + 1)
+                  end
+                  else
+                    let b = Tail.pointwise_bound tail n in
+                    `Fail
+                      ( n,
+                        Run_error.Certificate
+                          { what = "tail certificate"; msg = Printf.sprintf "term %d = %g exceeds certified bound %g" n a b } )
+              end
+        in
+        at c.Chunk.lo
       in
-      let rec go n acc =
-        if n > upto then begin
+      let map (c : Chunk.t) =
+        ( c,
+          run_chunk ~budget eval_chunk c
+            ~cut:(fun exh -> `Cut exh)
+            ~terms:(function `Terms _ -> Chunk.length c | `Fail (n, _) -> n - c.Chunk.lo + 1 | `Cut _ -> 0) )
+      in
+      (* The reference-arithmetic fold is the oracle for [fold_terms_fast]. *)
+      let fold_chunk = if Ipdb_bignum.Arith.reference () then Array.fold_left accumulate else fold_terms_fast in
+      let fold (acc, next, emitted) (c, outcome) =
+        match outcome with
+        | `Fail (_, e) -> Error (`Fail e)
+        | `Cut exh -> Error (`Cut (acc, next, exh))
+        | `Terms arr ->
+          let acc = fold_chunk acc arr in
+          buf_give term_bufs arr;
+          let next = c.Chunk.hi + 1 in
+          let emitted =
+            match progress with
+            | Some emit ->
+              let due = (next - n0) / progress_every in
+              if due > emitted then begin
+                emit (snapshot next acc);
+                due
+              end
+              else emitted
+            | None -> emitted
+          in
+          Ok (acc, next, emitted)
+      in
+      match Reduce.map_fold pool ~map ~fold ~init:(acc0, n0, 0) chunks with
+      | Error (`Fail e) -> Error e
+      | Error (`Cut (acc, next, exh)) -> stop acc (next - 1) exh
+      | Ok (acc, next, _) -> (
+        match !admit_stop with
+        | Some exh -> stop acc (next - 1) exh
+        | None -> (
           match tail_bound_opt tail (upto + 1) with
-          | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot n acc)
+          | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot next acc)
           | None ->
             Error
               (Run_error.Certificate
-                 { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" })
-        end
-        else begin
-          match Budget.check budget with
-          | Error exhausted -> stop acc (n - 1) exhausted
-          | Ok () -> (
-            match eval n with
-            | exception Faultinj.Injected site ->
-              Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-            | exception e ->
-              Error
-                (Run_error.Certificate
-                   { what = Printf.sprintf "term %d" n; msg = "term evaluation raised " ^ Printexc.to_string e })
-            | a ->
-              if Float.is_nan a || a < 0.0 then
-                Error
-                  (Run_error.Certificate
-                     { what = Printf.sprintf "term %d" n; msg = Printf.sprintf "term is not a non-negative number (%g)" a })
-              else begin
-                match validate n a with
-                | exception Faultinj.Injected site ->
-                  Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-                | Error msg -> Error (Run_error.Certificate { what = "tail certificate"; msg })
-                | Ok () ->
-                  let acc = accumulate acc a in
-                  tick (n + 1) acc;
-                  go (n + 1) acc
-              end)
-        end
-      in
-      (* Tight sequential loop: same traversal, same checks, same rounding
-         and emission points as [go], with the per-term hooks elided (they
-         are inert under [fast]) and the enclosure endpoints carried as
-         plain floats instead of one interval allocation per term. *)
-      let go_fast n0 acc0 =
-        let rec loop n lo hi =
-          if n > upto then begin
-            let acc = Interval.make lo hi in
-            match tail_bound_opt tail (upto + 1) with
-            | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot n acc)
-            | None ->
-              Error
-                (Run_error.Certificate
-                   { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" })
-          end
-          else begin
-            match f n with
-            | exception Faultinj.Injected site ->
-              Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-            | exception e ->
-              Error
-                (Run_error.Certificate
-                   { what = Printf.sprintf "term %d" n; msg = "term evaluation raised " ^ Printexc.to_string e })
-            | a ->
-              if Float.is_nan a || a < 0.0 then
-                Error
-                  (Run_error.Certificate
-                     { what = Printf.sprintf "term %d" n; msg = Printf.sprintf "term is not a non-negative number (%g)" a })
-              else begin
-                match validate n a with
-                | Error msg -> Error (Run_error.Certificate { what = "tail certificate"; msg })
-                | Ok () ->
-                  let lo = round_down (lo +. a) and hi = round_up (hi +. a) in
-                  (match progress with
-                  | Some emit when (n + 1 - n0) mod progress_every = 0 ->
-                    emit (snapshot (n + 1) (Interval.make lo hi))
-                  | _ -> ());
-                  loop (n + 1) lo hi
-              end
-          end
-        in
-        loop n0 (Interval.lo acc0) (Interval.hi acc0)
-      in
-      match pool with
-      | None -> if fast then go_fast n0 acc0 else go n0 acc0
-      | Some pool ->
-        (* Chunked parallel engine. Workers evaluate and validate terms
-           into per-chunk arrays; the interval fold below replays them
-           strictly in index order, so a completed run is bit-identical
-           to [go n0 acc0] for any worker count. *)
-        let size = match chunk with Some s -> Stdlib.max 1 s | None -> Chunk.default_size in
-        let admit_stop = ref None in
-        let bufs = buf_pool_make size 0.0 in
-        let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:n0 ~upto ()) in
-        let run_chunk (c : Chunk.t) =
-          Metrics.incr m_chunks;
-          Trace.with_span "series.chunk"
-            ~attrs:[ ("lo", OJson.Int c.Chunk.lo); ("hi", OJson.Int c.Chunk.hi) ]
-          @@ fun () ->
-          let arr = buf_take bufs (Chunk.length c) in
-          let rec at n =
-            if n > c.Chunk.hi then `Terms arr
-            else begin
-              match (if (not fast) && (n - c.Chunk.lo) land 15 = 0 then poll_cut budget else None) with
-              | Some exh -> `Cut exh
-              | None -> (
-                match eval n with
-                | exception Faultinj.Injected site ->
-                  `Fail (Run_error.Injected_fault { site = Faultinj.site_name site })
-                | exception e ->
-                  `Fail
-                    (Run_error.Certificate
-                       { what = Printf.sprintf "term %d" n; msg = "term evaluation raised " ^ Printexc.to_string e })
-                | a ->
-                  if Float.is_nan a || a < 0.0 then
-                    `Fail
-                      (Run_error.Certificate
-                         { what = Printf.sprintf "term %d" n; msg = Printf.sprintf "term is not a non-negative number (%g)" a })
-                  else begin
-                    match validate n a with
-                    | exception Faultinj.Injected site ->
-                      `Fail (Run_error.Injected_fault { site = Faultinj.site_name site })
-                    | Error msg -> `Fail (Run_error.Certificate { what = "tail certificate"; msg })
-                    | Ok () ->
-                      arr.(n - c.Chunk.lo) <- a;
-                      at (n + 1)
-                  end)
-            end
-          in
-          (c, at c.Chunk.lo)
-        in
-        let fold (acc, next, emitted) (c, outcome) =
-          match outcome with
-          | `Fail e -> Error (`Fail e)
-          | `Cut exh -> Error (`Cut (acc, next, exh))
-          | `Terms arr ->
-            let acc = if fast then fold_terms_fast acc arr else Array.fold_left accumulate acc arr in
-            buf_give bufs arr;
-            let next = c.Chunk.hi + 1 in
-            let emitted =
-              match progress with
-              | Some emit ->
-                let due = (next - n0) / progress_every in
-                if due > emitted then begin
-                  emit (snapshot next acc);
-                  due
-                end
-                else emitted
-              | None -> emitted
-            in
-            Ok (acc, next, emitted)
-        in
-        (match Reduce.map_fold pool ~map:run_chunk ~fold ~init:(acc0, n0, 0) chunks with
-        | Error (`Fail e) -> Error e
-        | Error (`Cut (acc, next, exh)) -> stop acc (next - 1) exh
-        | Ok (acc, next, _) -> (
-          match !admit_stop with
-          | Some exh -> stop acc (next - 1) exh
-          | None -> (
-            match tail_bound_opt tail (upto + 1) with
-            | Some b -> Ok (Complete (Interval.add acc (Interval.make 0.0 b)), snapshot next acc)
-            | None ->
-              Error
-                (Run_error.Certificate
-                   { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" })))))
+                 { what = "tail certificate"; msg = "no tail bound at the cutoff (finite support not exhausted?)" }))))
 
 let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unlimited) ?from
     ?progress ?(progress_every = 1000) f ~certificate ~upto =
@@ -783,8 +688,8 @@ let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unl
     ~start:(Divergence.start_index certificate) ~upto ~budget
     ~outcome:(function Div_complete _, _ -> "complete" | Div_exhausted _, _ -> "exhausted")
   @@ fun () ->
-  (* A sequential re-implementation of [Divergence.validate]'s four
-     traversals: one term evaluation and one budget step per index, with
+  (* [Divergence.validate]'s four traversals as one chunked engine over the
+     loop index k: one term evaluation and one budget step per index, with
      the cross-index context ([prev_term] for the ratio certificate,
      [prev_pick] for the subsequence one) carried explicitly so it can be
      checkpointed and restored. The witness partial sum is a left fold in
@@ -827,17 +732,9 @@ let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unl
     match init with
     | Error _ as e -> e
     | Ok st0 ->
-      let cert_error msg = Error (Run_error.Certificate { what = "divergence certificate"; msg }) in
+      let cert_error msg = Run_error.Certificate { what = "divergence certificate"; msg } in
       let snapshot k partial prev_term prev_pick =
         Snapshot.Div_state { div_start = i0; next_k = k; partial; prev_term; prev_pick }
-      in
-      let fast = fast_eligible budget in
-      let eval =
-        if fast then f
-        else fun n ->
-          Metrics.incr m_terms;
-          Faultinj.fire Faultinj.Term_eval;
-          f n
       in
       let index_of k =
         match certificate with
@@ -850,245 +747,176 @@ let certify_divergence_resumable ?pool ?chunk ?(start = 0) ?(budget = Budget.unl
           if prev_pick = min_int then Divergence.start_index certificate - 1 else prev_pick
         | _ -> k - 1
       in
-      let rec go k partial prev prev_pick =
-        let n = index_of k in
-        if n > upto then
-          Ok (Div_complete { partial; at = upto }, snapshot k partial prev prev_pick)
-        else begin
-          match Budget.check budget with
-          | Error exhausted ->
-            let last = last_evaluated k prev_pick in
-            Ok
-              ( Div_exhausted
-                  {
-                    partial;
-                    minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
-                    last;
-                    requested = upto;
-                    exhausted;
-                  },
-                snapshot k partial prev prev_pick )
-          | Ok () -> (
-            match eval n with
-            | exception Faultinj.Injected site ->
-              Error (Run_error.Injected_fault { site = Faultinj.site_name site })
-            | exception e ->
-              cert_error ("term evaluation raised " ^ Printexc.to_string e)
-            | a -> (
-              let verdict =
-                match certificate with
-                | Divergence.Harmonic { coeff; _ } ->
-                  let b = coeff /. float_of_int n in
-                  if a >= b -. ulp_slack b then Ok ()
-                  else Error (Printf.sprintf "term %d = %g below harmonic minorant %g" n a b)
-                | Divergence.Bounded_below { bound; _ } ->
-                  if a >= bound -. ulp_slack bound then Ok ()
-                  else Error (Printf.sprintf "term %d = %g below floor %g" n a bound)
-                | Divergence.Eventually_ratio_ge_one { floor; _ } ->
-                  if a < floor -. ulp_slack floor then
-                    Error (Printf.sprintf "term %d = %g below floor %g" n a floor)
-                  else (
-                    match prev with
-                    | Some p when a < p -. ulp_slack p ->
-                      Error (Printf.sprintf "terms decrease at %d" (n - 1))
-                    | _ -> Ok ())
-                | Divergence.Subsequence_harmonic { coeff; _ } ->
-                  if prev_pick <> min_int && n <= prev_pick then
-                    Error (Printf.sprintf "pick not strictly increasing at %d" k)
-                  else begin
-                    let b = coeff /. float_of_int k in
-                    if a >= b -. ulp_slack b then Ok ()
-                    else Error (Printf.sprintf "term at pick %d = %d is %g, below minorant %g" k n a b)
-                  end
-              in
-              match verdict with
-              | Error msg -> cert_error msg
-              | Ok () ->
-                let partial = if Float.is_nan a then partial else partial +. a in
-                let prev = Some a in
-                (match progress with
-                | Some emit when (k + 1 - st0.Snapshot.next_k) mod progress_every = 0 ->
-                  emit (snapshot (k + 1) partial prev n)
-                | _ -> ());
-                go (k + 1) partial prev n))
-        end
+      (* Chunks over the loop index k. Workers evaluate terms and check the
+         pointwise minorant hypotheses; the witness fold and the
+         cross-index checks (ratio decrease at a chunk boundary, pick
+         monotonicity) replay in k order on the calling domain, in the
+         per-index check order of a one-index-at-a-time loop. *)
+      let k0 = st0.Snapshot.next_k in
+      let size = chunk_size chunk in
+      (* Upper bound on k: for a plain certificate the loop index is the
+         term index; for a subsequence, [pick] strictly increasing means
+         pick k >= pick k0 + (k - k0), so the first k with pick k > upto
+         is at most k0 + (upto - pick k0) + 1. *)
+      let kmax =
+        match certificate with
+        | Divergence.Subsequence_harmonic { pick; _ } ->
+          let n_first = pick k0 in
+          if n_first > upto then k0 - 1 else k0 + (upto - n_first)
+        | _ -> upto
       in
-      match pool with
-      | None -> go st0.Snapshot.next_k st0.Snapshot.partial st0.Snapshot.prev_term st0.Snapshot.prev_pick
-      | Some pool ->
-        (* Chunked parallel engine over the loop index k. Workers evaluate
-           terms and check the pointwise minorant hypotheses; the witness
-           fold and the cross-index checks (ratio decrease at a chunk
-           boundary, pick monotonicity) replay in k order here, mirroring
-           [go]'s per-index check order exactly. *)
-        let k0 = st0.Snapshot.next_k in
-        let size = match chunk with Some s -> Stdlib.max 1 s | None -> Chunk.default_size in
-        (* Upper bound on k: for a plain certificate the loop index is the
-           term index; for a subsequence, [pick] strictly increasing means
-           pick k >= pick k0 + (k - k0), so the first k with pick k > upto
-           is at most k0 + (upto - pick k0) + 1. *)
-        let kmax =
-          match certificate with
-          | Divergence.Subsequence_harmonic { pick; _ } ->
-            let n_first = pick k0 in
-            if n_first > upto then k0 - 1 else k0 + (upto - n_first)
-          | _ -> upto
-        in
-        let admit_stop = ref None in
-        let term_bufs = buf_pool_make size 0.0 in
-        let pick_bufs = buf_pool_make size 0 in
-        let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:k0 ~upto:kmax ()) in
-        let run_chunk (c : Chunk.t) =
-          Metrics.incr m_chunks;
-          Trace.with_span "series.chunk"
-            ~attrs:[ ("lo", OJson.Int c.Chunk.lo); ("hi", OJson.Int c.Chunk.hi) ]
-          @@ fun () ->
-          let len = Chunk.length c in
-          let terms = buf_take term_bufs len in
-          let picks = buf_take pick_bufs len in
-          let stop_at j s = `Stopped (j, s) in
-          let rec at j =
-            if j >= len then `Full
+      let admit_stop = ref None in
+      let chunks = admit_chunks ~budget ~stop:admit_stop (Chunk.plan ~size ~start:k0 ~upto:kmax ()) in
+      let eval_chunk (c : Chunk.t) =
+        let term_fault = Faultinj.armed Faultinj.Term_eval in
+        let len = Chunk.length c in
+        let terms = buf_take term_bufs len in
+        let picks = buf_take pick_bufs len in
+        let stop_at j s = `Stopped (j, s) in
+        let rec at j =
+          if j >= len then `Full
+          else begin
+            let k = c.Chunk.lo + j in
+            let n = index_of k in
+            if n > upto then stop_at j `Upto_hit
             else begin
-              let k = c.Chunk.lo + j in
-              let n = index_of k in
-              if n > upto then stop_at j `Upto_hit
-              else begin
-                match (if (not fast) && j land 15 = 0 then poll_cut budget else None) with
-                | Some exh -> stop_at j (`Cut exh)
-                | None -> (
-                  match eval n with
-                  | exception Faultinj.Injected site ->
-                    stop_at j (`Err (Run_error.Injected_fault { site = Faultinj.site_name site }))
-                  | exception e ->
-                    stop_at j
-                      (`Err
-                         (Run_error.Certificate
-                            { what = "divergence certificate"; msg = "term evaluation raised " ^ Printexc.to_string e }))
-                  | a -> (
-                    let verdict =
-                      match certificate with
-                      | Divergence.Harmonic { coeff; _ } ->
-                        let b = coeff /. float_of_int n in
-                        if a >= b -. ulp_slack b then Ok ()
-                        else Error (Printf.sprintf "term %d = %g below harmonic minorant %g" n a b)
-                      | Divergence.Bounded_below { bound; _ } ->
-                        if a >= bound -. ulp_slack bound then Ok ()
-                        else Error (Printf.sprintf "term %d = %g below floor %g" n a bound)
-                      | Divergence.Eventually_ratio_ge_one { floor; _ } ->
-                        if a < floor -. ulp_slack floor then
-                          Error (Printf.sprintf "term %d = %g below floor %g" n a floor)
-                        else if j > 0 && a < terms.(j - 1) -. ulp_slack terms.(j - 1) then
-                          Error (Printf.sprintf "terms decrease at %d" (n - 1))
-                        else Ok ()
-                      | Divergence.Subsequence_harmonic { coeff; _ } ->
-                        if j > 0 && n <= picks.(j - 1) then
-                          Error (Printf.sprintf "pick not strictly increasing at %d" k)
-                        else begin
-                          let b = coeff /. float_of_int k in
-                          if a >= b -. ulp_slack b then Ok ()
-                          else Error (Printf.sprintf "term at pick %d = %d is %g, below minorant %g" k n a b)
-                        end
-                    in
-                    match verdict with
-                    | Error msg -> stop_at j (`Err (Run_error.Certificate { what = "divergence certificate"; msg }))
-                    | Ok () ->
-                      terms.(j) <- a;
-                      picks.(j) <- n;
-                      at (j + 1)))
-              end
+              match
+                if term_fault then Faultinj.fire Faultinj.Term_eval;
+                f n
+              with
+              | exception Faultinj.Injected site -> stop_at j (`Err (injected site))
+              | exception e -> stop_at j (`Err (cert_error ("term evaluation raised " ^ Printexc.to_string e)))
+              | a -> (
+                let verdict =
+                  match certificate with
+                  | Divergence.Harmonic { coeff; _ } ->
+                    let b = coeff /. float_of_int n in
+                    if a >= b -. ulp_slack b then Ok ()
+                    else Error (Printf.sprintf "term %d = %g below harmonic minorant %g" n a b)
+                  | Divergence.Bounded_below { bound; _ } ->
+                    if a >= bound -. ulp_slack bound then Ok ()
+                    else Error (Printf.sprintf "term %d = %g below floor %g" n a bound)
+                  | Divergence.Eventually_ratio_ge_one { floor; _ } ->
+                    if a < floor -. ulp_slack floor then
+                      Error (Printf.sprintf "term %d = %g below floor %g" n a floor)
+                    else if j > 0 && a < terms.(j - 1) -. ulp_slack terms.(j - 1) then
+                      Error (Printf.sprintf "terms decrease at %d" (n - 1))
+                    else Ok ()
+                  | Divergence.Subsequence_harmonic { coeff; _ } ->
+                    if j > 0 && n <= picks.(j - 1) then
+                      Error (Printf.sprintf "pick not strictly increasing at %d" k)
+                    else begin
+                      let b = coeff /. float_of_int k in
+                      if a >= b -. ulp_slack b then Ok ()
+                      else Error (Printf.sprintf "term at pick %d = %d is %g, below minorant %g" k n a b)
+                    end
+                in
+                match verdict with
+                | Error msg -> stop_at j (`Err (cert_error msg))
+                | Ok () ->
+                  terms.(j) <- a;
+                  picks.(j) <- n;
+                  at (j + 1))
             end
-          in
-          (c, terms, picks, at 0)
+          end
         in
-        (* Merge state mirrors [go]'s accumulator exactly. *)
-        let fold (partial, prev, prev_pick, k_next, emitted) (c, terms, picks, outcome) =
-          let dlen = match outcome with `Full -> Chunk.length c | `Stopped (j, _) -> j in
-          (* Cross-index checks on the chunk's first index, against the
-             carried state — in [go]'s per-index check order. *)
-          let boundary_err =
-            match certificate with
-            | Divergence.Eventually_ratio_ge_one _ when dlen >= 1 -> (
-              match prev with
-              | Some p when terms.(0) < p -. ulp_slack p ->
-                Some (Printf.sprintf "terms decrease at %d" (c.Chunk.lo - 1))
-              | _ -> None)
-            | Divergence.Subsequence_harmonic _ when prev_pick <> min_int -> (
-              let first_attempted =
-                if dlen >= 1 then Some picks.(0)
-                else
-                  match outcome with
-                  | `Stopped (0, `Err _) -> Some (index_of c.Chunk.lo)
-                  | _ -> None
-              in
-              match first_attempted with
-              | Some n when n <= prev_pick ->
-                Some (Printf.sprintf "pick not strictly increasing at %d" c.Chunk.lo)
-              | _ -> None)
-            | _ -> None
-          in
-          match boundary_err with
-          | Some msg -> Error (`Fail (Run_error.Certificate { what = "divergence certificate"; msg }))
-          | None ->
-            let partial = ref partial in
-            for j = 0 to dlen - 1 do
-              if not (Float.is_nan terms.(j)) then partial := !partial +. terms.(j)
-            done;
-            let partial = !partial in
-            let prev = if dlen >= 1 then Some terms.(dlen - 1) else prev in
-            let prev_pick = if dlen >= 1 then picks.(dlen - 1) else prev_pick in
-            let k_next = if dlen >= 1 then c.Chunk.lo + dlen else k_next in
-            let st = (partial, prev, prev_pick, k_next, emitted) in
-            buf_give term_bufs terms;
-            buf_give pick_bufs picks;
-            (match outcome with
-            | `Full ->
-              let emitted =
-                match progress with
-                | Some emit ->
-                  let due = (k_next - k0) / progress_every in
-                  if due > emitted then begin
-                    emit (snapshot k_next partial prev prev_pick);
-                    due
-                  end
-                  else emitted
-                | None -> emitted
-              in
-              Ok (partial, prev, prev_pick, k_next, emitted)
-            | `Stopped (_, `Upto_hit) -> Error (`Done st)
-            | `Stopped (_, `Cut exh) -> Error (`Cut (st, exh))
-            | `Stopped (_, `Err e) -> Error (`Fail e))
+        (terms, picks, at 0)
+      in
+      let map (c : Chunk.t) =
+        let terms, picks, outcome =
+          run_chunk ~budget eval_chunk c
+            ~cut:(fun exh -> ([||], [||], `Stopped (0, `Cut exh)))
+            ~terms:(function
+              | _, _, `Full -> Chunk.length c
+              | _, _, `Stopped (j, `Err _) -> j + 1
+              | _, _, `Stopped (j, _) -> j)
         in
-        let finish_exhausted (partial, prev, prev_pick, k_next, _) exhausted =
-          let last = last_evaluated k_next prev_pick in
-          Ok
-            ( Div_exhausted
-                {
-                  partial;
-                  minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
-                  last;
-                  requested = upto;
-                  exhausted;
-                },
-              snapshot k_next partial prev prev_pick )
+        (c, terms, picks, outcome)
+      in
+      (* Merge state mirrors a one-index-at-a-time loop's accumulator exactly. *)
+      let fold (partial, prev, prev_pick, k_next, emitted) (c, terms, picks, outcome) =
+        let dlen = match outcome with `Full -> Chunk.length c | `Stopped (j, _) -> j in
+        (* Cross-index checks on the chunk's first index, against the
+           carried state — in the per-index check order. *)
+        let boundary_err =
+          match certificate with
+          | Divergence.Eventually_ratio_ge_one _ when dlen >= 1 -> (
+            match prev with
+            | Some p when terms.(0) < p -. ulp_slack p ->
+              Some (Printf.sprintf "terms decrease at %d" (c.Chunk.lo - 1))
+            | _ -> None)
+          | Divergence.Subsequence_harmonic _ when prev_pick <> min_int -> (
+            let first_attempted =
+              if dlen >= 1 then Some picks.(0)
+              else
+                match outcome with
+                | `Stopped (0, `Err _) -> Some (index_of c.Chunk.lo)
+                | _ -> None
+            in
+            match first_attempted with
+            | Some n when n <= prev_pick ->
+              Some (Printf.sprintf "pick not strictly increasing at %d" c.Chunk.lo)
+            | _ -> None)
+          | _ -> None
         in
-        let init = (st0.Snapshot.partial, st0.Snapshot.prev_term, st0.Snapshot.prev_pick, k0, 0) in
-        (match Reduce.map_fold pool ~map:run_chunk ~fold ~init chunks with
-        | Error (`Fail e) -> Error e
-        | Error (`Cut (st, exh)) -> finish_exhausted st exh
-        | Error (`Done (partial, prev, prev_pick, k_next, _)) ->
-          Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick)
-        | Ok ((partial, prev, prev_pick, k_next, _) as st) -> (
-          match !admit_stop with
-          | Some exh -> finish_exhausted st exh
-          | None -> Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick))))
+        match boundary_err with
+        | Some msg -> Error (`Fail (cert_error msg))
+        | None ->
+          let partial = ref partial in
+          for j = 0 to dlen - 1 do
+            if not (Float.is_nan terms.(j)) then partial := !partial +. terms.(j)
+          done;
+          let partial = !partial in
+          let prev = if dlen >= 1 then Some terms.(dlen - 1) else prev in
+          let prev_pick = if dlen >= 1 then picks.(dlen - 1) else prev_pick in
+          let k_next = if dlen >= 1 then c.Chunk.lo + dlen else k_next in
+          let st = (partial, prev, prev_pick, k_next, emitted) in
+          buf_give term_bufs terms;
+          buf_give pick_bufs picks;
+          (match outcome with
+          | `Full ->
+            let emitted =
+              match progress with
+              | Some emit ->
+                let due = (k_next - k0) / progress_every in
+                if due > emitted then begin
+                  emit (snapshot k_next partial prev prev_pick);
+                  due
+                end
+                else emitted
+              | None -> emitted
+            in
+            Ok (partial, prev, prev_pick, k_next, emitted)
+          | `Stopped (_, `Upto_hit) -> Error (`Done st)
+          | `Stopped (_, `Cut exh) -> Error (`Cut (st, exh))
+          | `Stopped (_, `Err e) -> Error (`Fail e))
+      in
+      let finish_exhausted (partial, prev, prev_pick, k_next, _) exhausted =
+        let last = last_evaluated k_next prev_pick in
+        Ok
+          ( Div_exhausted
+              {
+                partial;
+                minorant = Divergence.minorant_partial_sum certificate (Stdlib.max last 0);
+                last;
+                requested = upto;
+                exhausted;
+              },
+            snapshot k_next partial prev prev_pick )
+      in
+      let init = (st0.Snapshot.partial, st0.Snapshot.prev_term, st0.Snapshot.prev_pick, k0, 0) in
+      match Reduce.map_fold pool ~map ~fold ~init chunks with
+      | Error (`Fail e) -> Error e
+      | Error (`Cut (st, exh)) -> finish_exhausted st exh
+      | Error (`Done (partial, prev, prev_pick, k_next, _)) ->
+        Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick)
+      | Ok ((partial, prev, prev_pick, k_next, _) as st) -> (
+        match !admit_stop with
+        | Some exh -> finish_exhausted st exh
+        | None -> Ok (Div_complete { partial; at = upto }, snapshot k_next partial prev prev_pick)))
 
-(* With a pool, the budgeted divergence check runs the chunked resumable
-   engine (identical verdicts on completion; chunk-aligned exhaustion). *)
 let certify_divergence_budgeted ?pool ?chunk ?start ?budget f ~certificate ~upto =
-  match pool with
-  | None -> certify_divergence_budgeted ?start ?budget f ~certificate ~upto
-  | Some _ -> Result.map fst (certify_divergence_resumable ?pool ?chunk ?start ?budget f ~certificate ~upto)
+  Result.map fst (certify_divergence_resumable ?pool ?chunk ?start ?budget f ~certificate ~upto)
 
 let sum_budgeted ?pool ?chunk ?start ?budget f ~tail ~upto =
   Result.map fst (sum_resumable ?pool ?chunk ?start ?budget f ~tail ~upto)

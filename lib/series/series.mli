@@ -92,12 +92,35 @@ val partial_sum_interval : ?start:int -> term -> int -> Interval.t
 
 (** {1 The budgeted engine}
 
-    All certified summation funnels through {!sum_budgeted} /
-    {!certify_divergence_budgeted}: a single fused pass that evaluates each
-    term once, validates the certificate's pointwise hypothesis on it, and
-    accumulates the interval partial sum — consuming one {!Ipdb_run.Budget}
-    step per term. Exhausting the budget is not an error: it degrades to an
-    {!Exhausted} value carrying the evidence accumulated so far. *)
+    All certified summation funnels through one chunked engine per kind of
+    verdict ({!sum_resumable}, {!certify_divergence_resumable}, and their
+    snapshot-free forms {!sum_budgeted} / {!certify_divergence_budgeted}).
+    It is the only loop, for every budget, every observation mode and every
+    caller:
+
+    - The index range is cut into a fixed chunk plan ([?chunk] indices per
+      chunk, default {!Ipdb_par.Chunk.default_size} = 2048). Each chunk's
+      terms are evaluated once and checked against the certificate's
+      pointwise hypothesis, then folded into the partial sum strictly in
+      index order on the calling domain.
+    - With [?pool] the chunks are evaluated on the pool; without one the
+      same plan runs inline on the calling domain, one chunk at a time. A
+      pool-less run equals a [jobs=1] and a [jobs=N] run byte for byte:
+      verdict, snapshots, progress stream and exhaustion record.
+    - Budget steps are reserved per chunk, one {!Ipdb_run.Budget} step per
+      index, when the chunk is admitted, in chunk order. A step budget
+      therefore stops at a chunk-plan-aligned index that does not depend
+      on the worker count. The deadline and the cancellation flag are
+      polled once per chunk, at admission and when the chunk starts, so a
+      run overshoots its deadline by at most one chunk per worker.
+    - Observation is per chunk too: [series.terms] and [series.widenings]
+      are counted in locals and added once per chunk, and each chunk is a
+      [series.chunk] trace span. Metrics, tracing and step budgets run the
+      same loop as a silent run; only [IPDB_ARITH_REFERENCE=1] swaps in the
+      reference interval fold.
+
+    Exhausting the budget is not an error: it degrades to an {!Exhausted}
+    value carrying the evidence accumulated so far. *)
 
 (** What a budget-interrupted summation still certifies. *)
 type partial = {
@@ -134,7 +157,7 @@ val sum_budgeted :
     trouble; exceptions escaping the term function are converted to typed
     errors.
 
-    With [?pool] the chunked parallel engine runs instead (see
+    With [?pool] the chunks are evaluated on the pool (see
     {!sum_resumable} for the determinism contract); the term function must
     then be safe to call from several domains at once (the certificate
     families in [Ipdb_core.Zoo] all are). *)
@@ -160,11 +183,10 @@ val certify_divergence_budgeted :
   certificate:Divergence.t ->
   upto:int ->
   (divergence_budgeted, Ipdb_run.Error.t) result
-(** Budgeted {!certify_divergence}: each term evaluation consumes one budget
-    step; exhaustion degrades to [Div_exhausted] with the witness evidence
-    accumulated so far. With [?pool] this runs the chunked parallel
-    divergence engine of {!certify_divergence_resumable} (identical
-    verdicts on completion; chunk-aligned stop points on exhaustion). *)
+(** Budgeted {!certify_divergence}: {!certify_divergence_resumable}
+    without the snapshot. Each checked index consumes one budget step,
+    reserved per chunk; exhaustion degrades to [Div_exhausted] with the
+    witness evidence accumulated so far, at a chunk-aligned stop point. *)
 
 val sum : ?start:int -> term -> tail:Tail.t -> upto:int -> (Interval.t, string) result
 (** Certified enclosure of the infinite sum: validates [tail] on the computed
@@ -186,7 +208,7 @@ val certify_divergence :
     engine: the interval prefix sum (endpoints persisted as {e exact
     rationals}), the next index to evaluate, and — for divergence
     certificates — the carried term/pick context. Because both engines
-    are sequential left folds, restarting from a snapshot replays the
+    fold strictly in index order, restarting from a snapshot replays the
     identical float operations in the identical order, so a resumed run
     produces {e bit-for-bit} the same enclosure and verdict as an
     uninterrupted one (the resume-equivalence property tests pin this
@@ -241,30 +263,30 @@ val sum_resumable :
   (budgeted * Snapshot.t, Ipdb_run.Error.t) result
 (** {!sum_budgeted} with checkpoint/resume: [from] restarts the fold from
     a snapshot's exact state (a snapshot of a different computation is a
-    typed [Validation] error); [progress] is invoked every
-    [progress_every] evaluated terms (default 1000) with the current
-    snapshot. The returned snapshot reflects the final state — for an
+    typed [Validation] error); [progress] is invoked with the current
+    snapshot at each chunk end that completes another multiple of
+    [progress_every] evaluated terms (default 1000), once per such chunk
+    however many multiples it completes. The returned snapshot reflects the final state — for an
     [Exhausted] verdict it is exactly the point to resume from. One-shot
     and interrupted-then-resumed runs produce bit-identical results.
 
-    {b Parallelism.} With [?pool] the prefix is evaluated in fixed chunks
-    of [?chunk] indices (default {!Ipdb_par.Chunk.default_size}) on the
-    pool: workers evaluate terms and validate the certificate's pointwise
-    hypothesis, while the interval fold replays their results strictly in
-    index order on the calling domain. Because chunk boundaries depend
-    only on [(start, upto, chunk)] and the fold order is the sequential
-    order, the enclosure, verdict, and final snapshot of a {e completed}
-    run are bit-for-bit identical to the sequential engine's, for every
-    worker count. Budget steps are reserved per chunk, in chunk order, on
-    the calling domain, so step-budget exhaustion also stops at an index
-    that is independent of worker count — but, unlike the sequential
-    engine's per-term accounting, the stop index is chunk-plan-aligned,
-    and [progress]/exhaustion snapshots are emitted at chunk boundaries.
-    Every such snapshot is an exact sequential state, so sequential and
-    parallel runs can resume each other freely; a resumed chain that runs
-    to completion reproduces the uninterrupted enclosure exactly.
-    Wall-clock and cancellation trips remain timing-dependent, exactly as
-    they are sequentially. *)
+    {b Chunks and parallelism.} The prefix is evaluated in fixed chunks
+    of [?chunk] indices (default {!Ipdb_par.Chunk.default_size}): on the
+    pool's workers with [?pool], inline on the calling domain without one.
+    Workers evaluate terms and validate the certificate's pointwise
+    hypothesis; the interval fold replays their results strictly in index
+    order on the calling domain. Because chunk boundaries depend only on
+    [(start, upto, chunk)] and the fold order is the index order, the
+    enclosure, verdict, final snapshot and progress stream are bit-for-bit
+    identical with and without a pool and for every worker count. Budget
+    steps are reserved per chunk, in chunk order, on the calling domain,
+    so step-budget exhaustion stops at a chunk-plan-aligned index that is
+    independent of worker count.
+    Every snapshot is an exact state of the index-ordered fold, so runs
+    with and without a pool can resume each other freely; a resumed chain
+    that runs to completion reproduces the uninterrupted enclosure
+    exactly. Wall-clock and cancellation trips are polled once per chunk
+    and remain timing-dependent. *)
 
 val certify_divergence_resumable :
   ?pool:Ipdb_par.Pool.t ->
@@ -279,14 +301,14 @@ val certify_divergence_resumable :
   upto:int ->
   (divergence_budgeted * Snapshot.t, Ipdb_run.Error.t) result
 (** Resumable divergence checking: one term evaluation and one budget step
-    per index, equivalent to {!certify_divergence_budgeted} on completion,
-    whose cross-index state is a {!Snapshot.t}. Same resume-equivalence
-    guarantee as {!sum_resumable}, and the same [?pool] contract: chunk
-    workers evaluate terms and check the pointwise minorant hypotheses,
-    while the witness fold and the cross-index checks (ratio decrease,
-    pick monotonicity) replay in index order on the calling domain —
-    completed verdicts, witness partial sums, and snapshots are
-    bit-identical to the sequential engine for every worker count. *)
+    per index, whose cross-index state is a {!Snapshot.t}. Same
+    resume-equivalence guarantee as {!sum_resumable}, and the same chunk
+    contract: chunk workers (or the calling domain, without a pool)
+    evaluate terms and check the pointwise minorant hypotheses, while the
+    witness fold and the cross-index checks (ratio decrease, pick
+    monotonicity) replay in index order on the calling domain — verdicts,
+    witness partial sums, snapshots and progress streams are bit-identical
+    with and without a pool and for every worker count. *)
 
 val geometric_tail_exact : Ipdb_bignum.Q.t -> int -> Ipdb_bignum.Q.t
 (** [geometric_tail_exact r n] is the exact value [r^n / (1 - r)] of

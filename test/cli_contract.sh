@@ -163,4 +163,31 @@ grep -q '"name": "series.sum"' "$TMP/c.jsonl" || fail "cli-trace: no series span
 # the metrics summary counts exactly the 2000 evaluated terms
 grep -qx 'metric series\.terms 2000' "$TMP/err" || fail "cli-trace: terms summary not exact"
 
+# ------------------------------------- watching does not change the output
+# A budgeted, metered or traced run prints the silent run's stdout byte
+# for byte, and its counters are exact: 200000 terms and steps, one
+# widening per term, and ceil(200000 / 2048) = 98 chunks.
+metric_lines() { grep -E '^metric (series\.(terms|chunks|widenings)|budget\.steps) ' "$TMP/err" || true; }
+watched() {
+  local label=$1
+  shift
+  run 0 "$label silent" "$IPDB" "$@"
+  cp "$TMP/out" "$TMP/silent"
+  run 0 "$label budgeted" "$IPDB" "$@" --max-steps 1000000000
+  cmp -s "$TMP/out" "$TMP/silent" || fail "$label: --max-steps changed stdout: $(cat "$TMP/out")"
+  run 0 "$label metered" "$IPDB" "$@" --metrics
+  cmp -s "$TMP/out" "$TMP/silent" || fail "$label: --metrics changed stdout: $(cat "$TMP/out")"
+  printf 'metric series.chunks 98\nmetric series.terms 200000\nmetric series.widenings 200000\n' > "$TMP/want"
+  metric_lines | cmp -s - "$TMP/want" || fail "$label: metered counters drifted: $(metric_lines)"
+  run 0 "$label traced" "$IPDB" "$@" --trace "$TMP/w.jsonl"
+  cmp -s "$TMP/out" "$TMP/silent" || fail "$label: --trace changed stdout: $(cat "$TMP/out")"
+  grep -q '"name": "series.chunk"' "$TMP/w.jsonl" || fail "$label: no chunk spans in the trace"
+  run 0 "$label budgeted+metered" "$IPDB" "$@" --max-steps 1000000000 --metrics
+  cmp -s "$TMP/out" "$TMP/silent" || fail "$label: --max-steps --metrics changed stdout: $(cat "$TMP/out")"
+  printf 'metric budget.steps 200000\nmetric series.chunks 98\nmetric series.terms 200000\nmetric series.widenings 200000\n' > "$TMP/want"
+  metric_lines | cmp -s - "$TMP/want" || fail "$label: budgeted counters drifted: $(metric_lines)"
+}
+watched "watch-criterion" criterion geometric --upto 200000
+watched "watch-moments" moments sqrt-growth -k 1 --upto 200000
+
 echo "cli_contract: OK (exit codes 0-4, json schema, trace and metrics surface)"

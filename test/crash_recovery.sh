@@ -9,9 +9,10 @@
 # the bit-identical enclosure. Wall-clock timing lines ("  -- name: 0.12s")
 # are stripped before comparison; everything else must match exactly.
 #
-# If the victim finishes before the SIGKILL lands (a very fast machine),
-# the run proved nothing about recovery: the test reports an explicit
-# SKIP instead of passing vacuously.
+# The kill lands halfway through the reference run's wall time. If the
+# victim still finishes before the SIGKILL lands, the run proved nothing
+# about recovery: the test reports an explicit SKIP instead of passing
+# vacuously.
 #
 # Usage: crash_recovery.sh /path/to/bench/main.exe
 
@@ -38,17 +39,28 @@ skip() {
   exit 0
 }
 
+# Seconds to wait before the SIGKILL: half the wall time the
+# uninterrupted reference run took, so the kill lands mid-flight however
+# fast the machine is (GNU date's %N; 0.25 s where that is unavailable).
+half_elapsed() {
+  awk -v a="$1" -v b="$2" -v d="0.25" \
+    'BEGIN { if (a ~ /^[0-9]+$/ && b ~ /^[0-9]+$/) printf "%.3f", (b - a) / 2e9; else print d }'
+}
+
 # 1. Reference: the same journaled run, uninterrupted.
+t0=$(date +%s%N)
 "$BENCH" --only "$ONLY" --journal "$TMP/ref.journal" \
   > "$TMP/ref.out" 2> /dev/null \
   || fail "reference run failed"
+t1=$(date +%s%N)
+delay=$(half_elapsed "$t0" "$t1")
 
 # 2. Victim: identical run, SIGKILLed mid-flight. A kill can land inside a
 #    journal append; recovery must shrug off the torn tail.
 "$BENCH" --only "$ONLY" --journal "$TMP/victim.journal" \
   > "$TMP/victim.out" 2> /dev/null &
 VICTIM_PID=$!
-sleep 0.25
+sleep "$delay"
 if ! kill -9 "$VICTIM_PID" 2> /dev/null; then
   # The victim already exited: nothing was interrupted, so a "pass" here
   # would not exercise recovery at all.

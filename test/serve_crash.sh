@@ -60,15 +60,27 @@ stats_field() {
     | sed -n "s/.*\"$2\": \([0-9]*\).*/\1/p"
 }
 
-# An unbudgeted request big enough to survive ~0.5s before the kill but
-# small enough to replay quickly. Completes with a certified verdict, so
-# it is cached and must replay byte-identically.
+# An unbudgeted request long enough to kill mid-compute but small enough
+# to replay quickly. Completes with a certified verdict, so it is cached
+# and must replay byte-identically.
 REQ="criterion geometric upto=5000000"
+
+# Seconds to wait before the SIGKILL: half the wall time the reference
+# daemon needed for the same request, so the kill lands mid-flight
+# however fast the machine is (GNU date's %N; 0.6 s where that is
+# unavailable).
+half_elapsed() {
+  awk -v a="$1" -v b="$2" -v d="0.6" \
+    'BEGIN { if (a ~ /^[0-9]+$/ && b ~ /^[0-9]+$/) printf "%.3f", (b - a) / 2e9; else print d }'
+}
 
 # 0. Reference answer from an uninterrupted daemon (no journal involved).
 PORT_R=$(start_daemon "$TMP/ref.out") || skip "daemon did not start (no loopback TCP?)"
+t0=$(date +%s%N)
 REF=$("$IPDB" request --port "$PORT_R" --retries 20 "$REQ") \
   || fail "reference request failed: $REF"
+t1=$(date +%s%N)
+delay=$(half_elapsed "$t0" "$t1")
 kill "$(cat "$TMP/ref.out.pid")" 2> /dev/null || true
 
 # 1. Victim: journaled daemon, same request, SIGKILLed mid-compute.
@@ -77,7 +89,7 @@ PORT_V=$(start_daemon "$TMP/victim.out" --journal "$TMP/j.wal" --cache "$TMP/c.c
 VICTIM=$(cat "$TMP/victim.out.pid")
 "$IPDB" request --port "$PORT_V" --retries 20 "$REQ" > "$TMP/client.out" 2>&1 &
 CLIENT=$!
-sleep 0.6
+sleep "$delay"
 if ! kill -9 "$VICTIM" 2> /dev/null; then
   skip "victim exited before SIGKILL; crash path not exercised"
 fi

@@ -66,9 +66,18 @@ health_str() {
 }
 
 # The acked load: quick certified verdicts, answered and journaled before
-# the crash. The in-flight request is big enough to survive ~0.5s.
+# the crash. The in-flight request is long enough to kill mid-compute.
 ACKED=("classify geometric upto=100" "moments geometric k=2 upto=60" "criterion geometric c=1 upto=80")
 INFLIGHT="criterion geometric upto=5000000"
+
+# Seconds to wait before the SIGKILL: half the wall time the reference
+# daemon needed for the in-flight request, so the kill lands mid-flight
+# however fast the machine is (GNU date's %N; 0.6 s where that is
+# unavailable).
+half_elapsed() {
+  awk -v a="$1" -v b="$2" -v d="0.6" \
+    'BEGIN { if (a ~ /^[0-9]+$/ && b ~ /^[0-9]+$/) printf "%.3f", (b - a) / 2e9; else print d }'
+}
 
 # 0. Reference answers from an uninterrupted, unjournaled daemon.
 PORT_R=$(start_daemon "$TMP/ref.out") || skip "daemon did not start (no loopback TCP?)"
@@ -77,8 +86,11 @@ for req in "${ACKED[@]}"; do
   "$IPDB" request --port "$PORT_R" --retries 20 "$req" >> "$TMP/ref.txt" \
     || fail "reference request failed: $req"
 done
+t0=$(date +%s%N)
 REF_INFLIGHT=$("$IPDB" request --port "$PORT_R" --retries 20 "$INFLIGHT") \
   || fail "reference in-flight request failed"
+t1=$(date +%s%N)
+delay=$(half_elapsed "$t0" "$t1")
 kill "$(cat "$TMP/ref.out.pid")" 2> /dev/null || true
 
 # 1. Leader (journaled) and follower (journaled, tailing the leader).
@@ -119,7 +131,7 @@ cmp -s "$TMP/leader.wal" "$TMP/follower.wal" \
 MIDFLIGHT=1
 "$IPDB" request --port "$PORT_L" --retries 20 "$INFLIGHT" > "$TMP/client.out" 2>&1 &
 CLIENT=$!
-sleep 0.6
+sleep "$delay"
 if ! kill -9 "$LEADER" 2> /dev/null; then
   MIDFLIGHT=""
 fi

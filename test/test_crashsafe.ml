@@ -16,6 +16,7 @@ module Interval = Ipdb_series.Interval
 module Criteria = Ipdb_core.Criteria
 module Classifier = Ipdb_core.Classifier
 module Zoo = Ipdb_core.Zoo
+module Metrics = Ipdb_obs.Metrics
 
 let arb_seed = QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 1_000_000)
 
@@ -582,6 +583,55 @@ let prop_fast_reference_divergence_identical seed =
   let p2, at2, s2 = Arith.with_reference true run in
   float_bits_equal p1 p2 && at1 = at2 && String.equal s1 s2
 
+(* The fast fold rounds with a multiply-add for 2^-960 <= |x| <= max_float
+   and with the libm neighbour elsewhere. Sums whose endpoints sweep the
+   exponent range — subnormal, across the 2^-960 switch, huge, overflowing
+   to infinity — must still match the reference fold bit for bit, chunk
+   snapshots included, and count the same widenings (an infinite endpoint
+   makes the width NaN, so an overflowing sum stops widening). *)
+let prop_fast_reference_exponent_range seed =
+  let rng = Random.State.make [| seed; 0xE4B |] in
+  let top =
+    match Random.State.int rng 3 with
+    | 0 -> -1074 + Random.State.int rng 2098
+    | 1 -> -1030 + Random.State.int rng 140
+    | _ -> if Random.State.bool rng then 1023 - Random.State.int rng 8 else -1022 + Random.State.int rng 8
+  in
+  let upto = 50 + Random.State.int rng 400 in
+  let terms =
+    Array.init (upto + 1) (fun _ ->
+        let e = top - Random.State.int rng 60 in
+        (* exact powers of two put the rounding input on a binade edge *)
+        let m = if Random.State.int rng 4 = 0 then 1.0 else 1.0 +. Random.State.float rng 1.0 in
+        if e < -1074 then 0.0 else Float.ldexp m e)
+  in
+  let every = 8 + Random.State.int rng 32 in
+  let chunk = 1 + Random.State.int rng 64 in
+  let widenings = Metrics.counter "series.widenings" in
+  let run () =
+    let snaps = ref [] in
+    Metrics.enable ();
+    Metrics.reset ();
+    let r =
+      Fun.protect ~finally:Metrics.disable @@ fun () ->
+      Series.sum_resumable ~chunk
+        ~progress:(fun s -> snaps := Series.Snapshot.to_string s :: !snaps)
+        ~progress_every:every (fun n -> terms.(n)) ~tail:(Series.Tail.Finite_support { last = upto }) ~upto
+    in
+    match r with
+    | Ok (Series.Complete e, final) -> (List.rev !snaps, Series.Snapshot.to_string final, e, Metrics.value widenings)
+    | Ok (Series.Exhausted _, _) -> QCheck.Test.fail_report "unbudgeted run exhausted"
+    | Error e -> QCheck.Test.fail_reportf "run failed: %s" (err_str e)
+  in
+  let fast_snaps, fast_final, fast_e, fast_w = run () in
+  let ref_snaps, ref_final, ref_e, ref_w = Arith.with_reference true run in
+  if not (interval_bits_equal fast_e ref_e) then
+    QCheck.Test.fail_reportf "enclosures differ (top exponent %d): [%h,%h] vs [%h,%h]" top (Interval.lo fast_e)
+      (Interval.hi fast_e) (Interval.lo ref_e) (Interval.hi ref_e)
+  else if not (String.equal fast_final ref_final) then QCheck.Test.fail_report "final snapshots differ"
+  else if fast_w <> ref_w then QCheck.Test.fail_reportf "widenings differ: fast %d, reference %d" fast_w ref_w
+  else List.equal String.equal fast_snaps ref_snaps || QCheck.Test.fail_report "progress snapshot streams differ"
+
 (* A snapshot taken by the fast path restores byte-identically and can be
    resumed under the reference mode (and vice versa): the remainder of the
    run still reproduces the uninterrupted enclosure bit for bit. *)
@@ -792,6 +842,8 @@ let () =
             prop_fast_reference_sum_identical;
           prop ~count:40 "fast divergence ≡ reference divergence"
             prop_fast_reference_divergence_identical;
+          prop ~count:200 "fast fold ≡ reference fold across the exponent range"
+            prop_fast_reference_exponent_range;
           prop ~count:60 "snapshots resume across arithmetic modes" prop_cross_mode_resume;
           prop ~count:60 "lazy-GCD partial sums ≡ eager normalisation"
             prop_lazy_gcd_partial_sums

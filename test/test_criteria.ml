@@ -406,6 +406,21 @@ let test_zoo_certificates_validate () =
       | Error m -> Alcotest.failf "%s: probability certificate failed: %s" name m)
     Zoo.all_families
 
+(* A family's [size] shortcut must agree with the instance it stands
+   for: the series terms read |D_n| through [Family.size] without
+   materialising D_n. *)
+let test_zoo_sizes_match_instances () =
+  List.iter
+    (fun (name, cf) ->
+      let fam = cf.Zoo.family in
+      for n = fam.Family.start to fam.Family.start + 10 do
+        Alcotest.(check int)
+          (Printf.sprintf "%s: size %d" name n)
+          (Instance.size (fam.Family.instance n))
+          (Family.size fam n)
+      done)
+    Zoo.all_families
+
 let test_domain_overlap () =
   Alcotest.(check int) "disjoint family has overlap 1" 1
     (Family.max_domain_overlap_on Zoo.example_5_5.Zoo.family ~upto:20);
@@ -488,6 +503,7 @@ let () =
         ] );
       ( "classifier",
         [ Alcotest.test_case "zoo certificates validate" `Quick test_zoo_certificates_validate;
+          Alcotest.test_case "family sizes match their instances" `Quick test_zoo_sizes_match_instances;
           Alcotest.test_case "domain overlap (Remark 3.8)" `Quick test_domain_overlap;
           Alcotest.test_case "agreement with the paper" `Quick test_classifier_agreement;
           Alcotest.test_case "bounded shortcut" `Quick test_classifier_bounded;

@@ -124,6 +124,7 @@ let exception_still_closes_spans (s, depth) =
 (* Same registry handles the library uses: counter is get-or-create. *)
 let m_terms = Metrics.counter "series.terms"
 let m_steps = Metrics.counter "budget.steps"
+let m_widenings = Metrics.counter "series.widenings"
 
 type sum_case = { start : int; len : int; chunk : int }
 
@@ -147,41 +148,111 @@ let with_metrics f =
   Metrics.enable ();
   Fun.protect ~finally:Metrics.disable f
 
+(* The widening oracle: a per-term [Interval.add] fold over the terms
+   start..last, counting the steps that strictly grew the width. *)
+let widenings_upto c last =
+  let acc = ref Interval.zero and widened = ref 0 in
+  for n = c.start to last do
+    let acc' = Interval.add !acc (Interval.point (term_of c n)) in
+    if Interval.width acc' > Interval.width !acc then incr widened;
+    acc := acc'
+  done;
+  !widened
+
+(* Every way to run an engine: inline without a pool, and on 1 and 4
+   workers. The counters must not depend on which. *)
+let engines () = [ ("pool=None", None); ("jobs=1", Some (pool1 ())); ("jobs=4", Some (pool4 ())) ]
+
 let terms_counted_exactly c =
   with_metrics (fun () ->
-      let count pool =
-        Metrics.reset ();
-        (match run_sum ?pool c with
-        | Ok (Series.Complete _, _) -> ()
-        | Ok (Series.Exhausted _, _) -> QCheck.Test.fail_report "unexpected exhaustion"
-        | Error e -> QCheck.Test.fail_reportf "engine error: %s" (Run_error.to_string e));
-        Metrics.value m_terms
+      let want_widenings = widenings_upto c (c.start + c.len - 1) in
+      let budgets =
+        [ ("unlimited", fun () -> None); ("step budget", fun () -> Some (Budget.make ~max_steps:(c.len + 7) ())) ]
       in
-      let seq = count None in
-      let j1 = count (Some (pool1 ())) in
-      let j4 = count (Some (pool4 ())) in
-      if seq <> c.len then fail "sequential engine evaluated %d terms for a %d-term prefix" seq c.len
-      else if j1 <> seq || j4 <> seq then
-        fail "terms counter depends on the engine: seq=%d jobs1=%d jobs4=%d" seq j1 j4
-      else true)
+      List.for_all
+        (fun (engine, pool) ->
+          List.for_all
+            (fun (label, budget) ->
+              Metrics.reset ();
+              (match run_sum ?pool ?budget:(budget ()) c with
+              | Ok (Series.Complete _, _) -> ()
+              | Ok (Series.Exhausted _, _) -> QCheck.Test.fail_report "unexpected exhaustion"
+              | Error e -> QCheck.Test.fail_reportf "engine error: %s" (Run_error.to_string e));
+              let terms = Metrics.value m_terms and widenings = Metrics.value m_widenings in
+              if terms <> c.len then
+                fail "%s, %s: evaluated %d terms for a %d-term prefix" engine label terms c.len
+              else if widenings <> want_widenings then
+                fail "%s, %s: %d widenings, a per-term fold has %d" engine label widenings want_widenings
+              else true)
+            budgets)
+        (engines ()))
 
 let steps_counted_exactly (c, max_steps) =
   let max_steps = Stdlib.max 1 max_steps in
   with_metrics (fun () ->
-      let count pool =
+      let count (engine, pool) =
         Metrics.reset ();
         let budget = Budget.make ~max_steps () in
-        (match run_sum ~pool ~budget c with
-        | Ok _ -> ()
-        | Error e -> QCheck.Test.fail_reportf "engine error: %s" (Run_error.to_string e));
-        (Metrics.value m_steps, Budget.steps_used budget)
+        let last =
+          match run_sum ?pool ~budget c with
+          | Ok (Series.Complete _, _) -> c.start + c.len - 1
+          | Ok (Series.Exhausted p, _) -> p.Series.last
+          | Error e -> QCheck.Test.fail_reportf "%s: engine error: %s" engine (Run_error.to_string e)
+        in
+        let steps = Metrics.value m_steps and used = Budget.steps_used budget in
+        let terms = Metrics.value m_terms and widenings = Metrics.value m_widenings in
+        if steps <> used then fail "%s: steps counter %d disagrees with Budget.steps_used %d" engine steps used
+        else if terms <> last - c.start + 1 then
+          fail "%s: %d terms counted, %d evaluated up to %d" engine terms (last - c.start + 1) last
+        else if terms <> used then fail "%s: %d terms for %d steps" engine terms used
+        else if widenings <> widenings_upto c last then
+          fail "%s: %d widenings, a per-term fold has %d" engine widenings (widenings_upto c last)
+        else (steps, terms, widenings)
       in
-      let c1, u1 = count (pool1 ()) in
-      let c4, u4 = count (pool4 ()) in
-      if c1 <> u1 || c4 <> u4 then
-        fail "steps counter disagrees with Budget.steps_used: %d/%d and %d/%d" c1 u1 c4 u4
-      else if c1 <> c4 then fail "steps depend on the worker count: jobs1=%d jobs4=%d" c1 c4
-      else true)
+      match List.map count (engines ()) with
+      | first :: rest ->
+        List.for_all (fun r -> r = first) rest
+        || fail "counters depend on the engine (pool=None, jobs=1, jobs=4)"
+      | [] -> true)
+
+(* A term that fails still counts as evaluated: raising, NaN, over its
+   certified bound, or stopped by an armed Term_eval site before the term
+   function ran. One chunk per run on the pools, so the count is exactly
+   the failing index's position. *)
+let test_failing_terms_counted () =
+  with_metrics @@ fun () ->
+  let tail = Series.Tail.Geometric { index = 1; first = 1.0; ratio = 0.5 } in
+  let geo n = 0.5 ** float_of_int (n - 1) in
+  let bad = 23 in
+  let counted label run =
+    Metrics.reset ();
+    (match run () with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "%s: the failing term went unnoticed" label);
+    Alcotest.(check int) label bad (Metrics.value m_terms)
+  in
+  List.iter
+    (fun (what, term) ->
+      List.iter
+        (fun (engine, pool, chunk) ->
+          counted (what ^ ", sum, " ^ engine) (fun () ->
+              Series.sum_resumable ?pool ~chunk ~start:1 term ~tail ~upto:100);
+          counted (what ^ ", divergence, " ^ engine) (fun () ->
+              Series.certify_divergence_resumable ?pool ~chunk
+                (fun n -> if n = bad then term n else 1.0)
+                ~certificate:(Series.Divergence.Bounded_below { index = 1; bound = 0.5 })
+                ~upto:100))
+        [ ("pool=None", None, 8); ("jobs=1", Some (pool1 ()), 100); ("jobs=4", Some (pool4 ()), 100) ])
+    [ ("raising term", fun n -> if n = bad then failwith "boom" else geo n);
+      ("NaN term", fun n -> if n = bad then Float.nan else geo n);
+      ("term over its bound", fun n -> if n = bad then 0.25 else geo n) ];
+  Faultinj.arm [ Faultinj.Term_eval ];
+  Fun.protect ~finally:Faultinj.disarm @@ fun () ->
+  Metrics.reset ();
+  (match Series.sum_resumable ~start:1 geo ~tail ~upto:100 with
+  | Error (Run_error.Injected_fault _) -> ()
+  | _ -> Alcotest.fail "armed Term_eval site did not fire");
+  Alcotest.(check int) "armed Term_eval site counts the term it stopped" 1 (Metrics.value m_terms)
 
 let test_gauge_max_monotone () =
   with_metrics (fun () ->
@@ -401,6 +472,7 @@ let () =
           prop ~count:60 "budget.steps equals Budget.steps_used, jobs=1 ≡ jobs=4"
             (QCheck.pair arb_sum_case QCheck.(1 -- 400))
             steps_counted_exactly;
+          Alcotest.test_case "failing terms are counted" `Quick test_failing_terms_counted;
           Alcotest.test_case "max_gauge is monotone (bits-overflow regression)" `Quick
             test_gauge_max_monotone;
         ] );

@@ -190,6 +190,88 @@ let parallel_divergence_resume_equivalence (c, max_steps) =
           same_div_outcome "parallel resume" uninterrupted resumed_par
           && same_div_outcome "sequential resume of a parallel checkpoint" uninterrupted resumed_seq)
 
+(* Without a pool the engines run the same chunk plan inline, so a
+   pool-less run must equal a jobs=1 and a jobs=N run in everything it
+   reports: verdict, final snapshot, the progress stream (emitted at
+   chunk ends; [progress_every] below the chunk size so several fall due
+   inside one chunk) and the exhaustion record, [Steps {used; limit}]
+   included. Each run gets a fresh budget with the same step limit. *)
+let every_below chunk salt = if chunk <= 1 then 1 else 1 + (salt mod (chunk - 1))
+
+let progress_stream run =
+  let snaps = ref [] in
+  let r = run (fun s -> snaps := Series.Snapshot.to_string s :: !snaps) in
+  (r, List.rev !snaps)
+
+let same_streams label a b = a = b || fail "%s: progress streams differ (%d vs %d snapshots)" label (List.length a) (List.length b)
+let same_exhaustion label a b = a = b || fail "%s: exhaustion records differ" label
+
+let sum_exhaustion = function Ok (Series.Exhausted p, _) -> Some p.Series.exhausted | _ -> None
+let div_exhaustion = function Ok (Series.Div_exhausted { exhausted; _ }, _) -> Some exhausted | _ -> None
+
+let sum_poolless_equals_pooled (c, max_steps) =
+  let max_steps = Stdlib.max 1 max_steps in
+  let progress_every = every_below c.chunk max_steps in
+  let run pool =
+    progress_stream (fun progress ->
+        Series.sum_resumable ?pool ~chunk:c.chunk ~budget:(Budget.make ~max_steps ()) ~progress ~progress_every
+          ~start:c.start (term_of c) ~tail:(tail_of c) ~upto:c.upto)
+  in
+  let none, s_none = run None in
+  List.for_all
+    (fun (label, pool) ->
+      let r, s = run (Some pool) in
+      same_sum_outcome label none r
+      && same_streams label s_none s
+      && same_exhaustion label (sum_exhaustion none) (sum_exhaustion r))
+    [ ("sum: pool=None vs jobs=1", pool_of_index 0); ("sum: pool=None vs jobs=N", pool_of_index (1 + (c.pool mod 2))) ]
+
+let divergence_poolless_equals_pooled (c, max_steps) =
+  let max_steps = Stdlib.max 1 max_steps in
+  let progress_every = every_below c.dchunk max_steps in
+  let run pool =
+    progress_stream (fun progress ->
+        Series.certify_divergence_resumable ?pool ~chunk:c.dchunk ~budget:(Budget.make ~max_steps ()) ~progress
+          ~progress_every c.dterm ~certificate:c.cert ~upto:c.dupto)
+  in
+  let none, s_none = run None in
+  List.for_all
+    (fun (label, pool) ->
+      let r, s = run (Some pool) in
+      same_div_outcome label none r
+      && same_streams label s_none s
+      && same_exhaustion label (div_exhaustion none) (div_exhaustion r))
+    [ ("divergence: pool=None vs jobs=1", pool_of_index 0);
+      ("divergence: pool=None vs jobs=N", pool_of_index (1 + (c.dpool mod 2))) ]
+
+(* Every certificate kind, complete and exhausted, on a chunk plan of a
+   few chunks: the generator above draws kinds uniformly, this pins each. *)
+let test_divergence_poolless_all_certificates () =
+  let cases =
+    List.concat_map
+      (fun kind ->
+        let index = 1 + kind mod 3 and coeff = 0.5 in
+        let cert, dterm =
+          match kind with
+          | 0 -> (Series.Divergence.Harmonic { index; coeff }, fun n -> coeff /. float_of_int n)
+          | 1 -> (Series.Divergence.Bounded_below { index; bound = coeff }, fun n -> coeff +. (0.001 *. float_of_int n))
+          | 2 -> (Series.Divergence.Eventually_ratio_ge_one { index; floor = coeff }, fun n -> coeff +. (0.01 *. float_of_int n))
+          | _ ->
+              ( Series.Divergence.Subsequence_harmonic { index; pick = (fun k -> (2 * k) + 1); coeff },
+                fun n -> (2.0 *. coeff) /. float_of_int (n - 1) )
+        in
+        List.map (fun max_steps -> ({ cert; dterm; dupto = index + 200; dchunk = 16; dpool = kind }, max_steps)) [ 37; 1000 ])
+      [ 0; 1; 2; 3 ]
+  in
+  List.iter
+    (fun ((c, _) as case) ->
+      let ok =
+        try divergence_poolless_equals_pooled case
+        with QCheck.Test.Test_fail (_, msgs) -> Alcotest.failf "%a: %s" Series.Divergence.pp c.cert (String.concat "; " msgs)
+      in
+      Alcotest.(check bool) (Format.asprintf "%a" Series.Divergence.pp c.cert) true ok)
+    cases
+
 (* ------------------------------------------------------------------ *)
 (* Pool / Reduce / Budget unit behavior                                *)
 (* ------------------------------------------------------------------ *)
@@ -243,14 +325,18 @@ let test_nested_map_ordered () =
     rows
 
 let test_reduce_stops_pulling () =
-  let pool = pool_of_index 1 in
-  let pulled = ref 0 in
-  let seq = Seq.ints 0 |> Seq.map (fun i -> incr pulled; i) in
-  let r =
-    Reduce.map_fold pool ~window:4 ~map:Fun.id ~init:0 seq ~fold:(fun acc i -> if i >= 10 then Error acc else Ok (acc + i))
-  in
-  (match r with Error acc -> Alcotest.(check int) "folded prefix" 45 acc | Ok _ -> Alcotest.fail "expected stop");
-  Alcotest.(check bool) "lazy producer stopped early" true (!pulled <= 20)
+  (* On the pool a wave of [window] items is pulled at once; inline, one
+     item at a time, so exactly the items up to the stop are pulled. *)
+  List.iter
+    (fun (pool, max_pulled) ->
+      let pulled = ref 0 in
+      let seq = Seq.ints 0 |> Seq.map (fun i -> incr pulled; i) in
+      let r =
+        Reduce.map_fold pool ~window:4 ~map:Fun.id ~init:0 seq ~fold:(fun acc i -> if i >= 10 then Error acc else Ok (acc + i))
+      in
+      (match r with Error acc -> Alcotest.(check int) "folded prefix" 45 acc | Ok _ -> Alcotest.fail "expected stop");
+      Alcotest.(check bool) "lazy producer stopped early" true (!pulled <= max_pulled))
+    [ (Some (pool_of_index 1), 20); (None, 11) ]
 
 let test_chunk_plan () =
   let plan = Chunk.to_list (Chunk.plan ~size:10 ~start:3 ~upto:27 ()) in
@@ -372,6 +458,14 @@ let () =
           prop ~count:100 "divergence: parallel checkpoint resumes to the sequential verdict"
             (QCheck.pair arb_div_case QCheck.(1 -- 450))
             parallel_divergence_resume_equivalence;
+          prop "sum: pool=None ≡ jobs=1 ≡ jobs=N (verdict, snapshots, progress, exhaustion)"
+            (QCheck.pair arb_sum_case QCheck.(1 -- 450))
+            sum_poolless_equals_pooled;
+          prop "divergence: pool=None ≡ jobs=1 ≡ jobs=N (verdict, snapshots, progress, exhaustion)"
+            (QCheck.pair arb_div_case QCheck.(1 -- 450))
+            divergence_poolless_equals_pooled;
+          Alcotest.test_case "divergence: pool=None ≡ pooled for all four certificates" `Quick
+            test_divergence_poolless_all_certificates;
         ] );
       ( "pool",
         [
