@@ -11,6 +11,7 @@ let format_version = "ipdbkb1"
 
 let m_ingest_facts = Metrics.counter "kb.ingest.facts"
 let m_ingest_bytes = Metrics.counter "kb.ingest.bytes"
+let m_ingest_general = Metrics.counter "kb.ingest.general_tokens"
 
 type loaded = {
   store : Store.t;
@@ -20,15 +21,15 @@ type loaded = {
   torn_tail : bool;
 }
 
-(* FNV-1a/64, incremental (same function as Ioutil.checksum, folded over
-   a substring so the whole file need not be re-read for its digest) *)
+(* FNV-1a/64 (same function as Ioutil.checksum), folded line by line:
+   the digest covers complete lines only *)
 let fnv_prime = 0x100000001b3L
 let fnv_offset = 0xcbf29ce484222325L
 
-let fnv_fold acc s pos len =
+let fnv_fold acc b pos len =
   let h = ref acc in
   for i = pos to pos + len - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Bytes.get b i)))) fnv_prime
   done;
   !h
 
@@ -51,19 +52,6 @@ let value_of_token tok =
     match int_of_string_opt tok with Some n -> Value.Int n | None -> Value.Str tok
   end
 
-let split_tokens line =
-  let out = ref [] in
-  let buf = Buffer.create 16 in
-  let flush () =
-    if Buffer.length buf > 0 then begin
-      out := Buffer.contents buf :: !out;
-      Buffer.clear buf
-    end
-  in
-  String.iter (fun c -> if c = ' ' || c = '\t' || c = '\r' then flush () else Buffer.add_char buf c) line;
-  flush ();
-  List.rev !out
-
 (* ------------------------------------------------------------------ *)
 (* Reading                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -75,74 +63,219 @@ let fail_parse path lineno fmt =
     (fun msg -> raise (Bad (Run_error.Parse { what = path; msg = Printf.sprintf "line %d: %s" lineno msg })))
     fmt
 
+let fail_validation path lineno msg =
+  raise (Bad (Run_error.Validation { what = path; msg = Printf.sprintf "line %d: %s" lineno msg }))
+
+let is_space c = c = ' ' || c = '\t' || c = '\r'
+
+(* The value of the decimal digits [b.[lo .. hi-1]], or -1 unless there
+   are 1 to 18 of them, so that the value fits a native int. *)
+let native_digits b lo hi =
+  if hi - lo < 1 || hi - lo > 18 then -1
+  else begin
+    let acc = ref 0 and i = ref lo in
+    while !i < hi && Bytes.get b !i >= '0' && Bytes.get b !i <= '9' do
+      acc := (!acc * 10) + (Char.code (Bytes.get b !i) - Char.code '0');
+      incr i
+    done;
+    if !i = hi then !acc else -1
+  end
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* One pass over the file, read through a window [buf.(lo .. hi-1)] of
+   unread bytes that is refilled in 64 KiB reads, so the file is never
+   held whole. A line's tokens are byte ranges
+   [tok_start.(k), tok_stop.(k)) into the window; only rare lines (the
+   magic, [rel] lines, errors) and tokens the native readers decline
+   are copied out. Native marginals are [n/d] or [n] with 1-18 digits
+   per part, native values [_] and [-?[0-9]{1,18}]; every other
+   spelling goes through [Q.of_string] or [value_of_token] on that one
+   token (and counts in [general]), so the accepted language is the
+   whitespace-split reader's. *)
+let read path (fd : Env.fd) =
+  let store = Store.create [] in
+  (* a fact line holds a relation, a marginal and at most max_arity
+     values; tokens past [cap] are counted, and fail the arity check *)
+  let cap = Store.max_arity + 2 in
+  let tok_start = Array.make cap 0 and tok_stop = Array.make cap 0 in
+  let ids = Array.make Store.max_arity 0 in
+  let facts = ref 0 and zero_dropped = ref 0 and general = ref 0 in
+  let seen_magic = ref false and last = ref None in
+  let buf = ref (Bytes.create 65536) and lo = ref 0 and hi = ref 0 and eof = ref false and read_bytes = ref 0 in
+  (* Move the window to the front of the buffer (a twice larger one when
+     a single line fills it) and read more bytes after it. *)
+  let refill () =
+    let keep = !hi - !lo in
+    let dst = if keep = Bytes.length !buf then Bytes.create (2 * keep) else !buf in
+    Bytes.blit !buf !lo dst 0 keep;
+    buf := dst;
+    lo := 0;
+    hi := keep;
+    let rec pull () =
+      match fd.Env.read dst keep (Bytes.length dst - keep) with
+      | n -> n
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> pull ()
+    in
+    let n = pull () in
+    if n = 0 then eof := true else hi := keep + n;
+    read_bytes := !read_bytes + n
+  in
+  let token k = Bytes.sub_string !buf tok_start.(k) (tok_stop.(k) - tok_start.(k)) in
+  let token_is k lit =
+    let start = tok_start.(k) and len = String.length lit in
+    if tok_stop.(k) - start <> len then false
+    else begin
+      let i = ref 0 in
+      while !i < len && Bytes.get !buf (start + !i) = lit.[!i] do
+        incr i
+      done;
+      !i = len
+    end
+  in
+  let value_id k =
+    let b = !buf and start = tok_start.(k) and stop = tok_stop.(k) in
+    if stop - start = 1 && Bytes.get b start = '_' then Store.intern store Value.Bot
+    else begin
+      let neg = Bytes.get b start = '-' in
+      let m = native_digits b (if neg then start + 1 else start) stop in
+      if m >= 0 then Store.intern_int store (if neg then -m else m)
+      else begin
+        incr general;
+        Store.intern store (value_of_token (token k))
+      end
+    end
+  in
+  let fact lineno ntok =
+    (* the marginal: native [num/den] (den > 0, coprime), else [p] *)
+    let b = !buf and start = tok_start.(1) and stop = tok_stop.(1) in
+    let slash = ref start in
+    while !slash < stop && Bytes.get b !slash <> '/' do
+      incr slash
+    done;
+    let num = ref (native_digits b start !slash) in
+    let den = ref (if !slash = stop then 1 else native_digits b (!slash + 1) stop) in
+    let p = ref Q.zero in
+    if !num >= 0 && !den > 0 then begin
+      let g = if !num = 0 then !den else gcd !num !den in
+      num := !num / g;
+      den := !den / g
+    end
+    else begin
+      (* zero denominators land here too: [Q.make] raises on them *)
+      incr general;
+      (match Q.of_string (token 1) with
+      | q -> p := q
+      | exception (Invalid_argument _ | Division_by_zero) -> fail_parse path lineno "unparsable marginal %S" (token 1));
+      num := 0;
+      den := 0
+    end;
+    let tbl =
+      match !last with
+      | Some tbl when token_is 0 (Store.handle_name tbl) -> tbl
+      | _ -> (
+        match Store.resolve store (token 0) with
+        | Ok tbl ->
+          last := Some tbl;
+          tbl
+        | Error msg -> fail_validation path lineno msg)
+    in
+    let num = !num and den = !den and p = !p in
+    match Store.admit tbl ~nargs:(ntok - 2) ~num ~den p with
+    | Error msg -> fail_validation path lineno msg
+    | Ok false -> incr zero_dropped
+    | Ok true -> (
+      for k = 2 to ntok - 1 do
+        ids.(k - 2) <- value_id k
+      done;
+      match Store.insert tbl ids ~num ~den p with
+      | Ok () -> incr facts
+      | Error msg -> fail_validation path lineno msg)
+  in
+  let declare lineno name arity_s =
+    match int_of_string_opt arity_s with
+    | None -> fail_parse path lineno "relation %s: unparsable arity %S" name arity_s
+    | Some arity -> (
+      if String.length name = 0 || not (name.[0] >= 'A' && name.[0] <= 'Z') then
+        fail_parse path lineno "relation name %S must start with an upper-case letter" name;
+      match Store.declare store name arity with
+      | Ok () -> ()
+      | Error msg -> fail_parse path lineno "%s" msg)
+  in
+  (* the line [buf.(start .. stop-1)], its newline excluded *)
+  let handle_line lineno start stop =
+    let b = !buf and ntok = ref 0 and i = ref start in
+    while !i < stop do
+      if is_space (Bytes.get b !i) then incr i
+      else begin
+        let first = !i in
+        while !i < stop && not (is_space (Bytes.get b !i)) do
+          incr i
+        done;
+        if !ntok < cap then begin
+          tok_start.(!ntok) <- first;
+          tok_stop.(!ntok) <- !i
+        end;
+        incr ntok
+      end
+    done;
+    let ntok = !ntok in
+    if ntok = 0 || Bytes.get b tok_start.(0) = '#' then ()
+    else if not !seen_magic then begin
+      if ntok = 1 && token_is 0 format_version then seen_magic := true
+      else fail_parse path lineno "expected %s magic, got %S" format_version (Bytes.sub_string b start (stop - start))
+    end
+    else if token_is 0 "rel" then begin
+      if ntok = 3 then declare lineno (token 1) (token 2)
+      else fail_parse path lineno "rel needs a name and an arity"
+    end
+    else if ntok = 1 then fail_parse path lineno "fact line needs a marginal"
+    else fact lineno ntok
+  in
+  let lineno = ref 0 and digest = ref fnv_offset and torn = ref false and reading = ref true in
+  while !reading do
+    let nl = ref !lo in
+    while !nl < !hi && Bytes.get !buf !nl <> '\n' do
+      incr nl
+    done;
+    if !nl < !hi then begin
+      incr lineno;
+      handle_line !lineno !lo !nl;
+      digest := fnv_fold !digest !buf !lo (!nl + 1 - !lo);
+      lo := !nl + 1
+    end
+    else if not !eof then refill ()
+    else begin
+      (* torn tail: a crash mid-append left a partial last line;
+         ignore it, exactly like the journal's tail repair *)
+      torn := !lo < !hi;
+      reading := false
+    end
+  done;
+  if not !seen_magic then
+    raise (Bad (Run_error.Parse { what = path; msg = "empty or magic-less file (expected " ^ format_version ^ ")" }));
+  Metrics.add m_ingest_facts !facts;
+  Metrics.add m_ingest_bytes !read_bytes;
+  Metrics.add m_ingest_general !general;
+  Trace.annotate [ ("facts", Ipdb_obs.Json.Int !facts); ("torn", Ipdb_obs.Json.Bool !torn) ];
+  { store; facts = !facts; zero_dropped = !zero_dropped; digest = !digest; torn_tail = !torn }
+
 let load path =
   Trace.with_span "kb.ingest" @@ fun () ->
   let env = Env.current () in
-  if not (env.Env.exists path) then Error (Run_error.Io { path; msg = "no such file" })
+  let io msg = Error (Run_error.Io { path; msg }) in
+  if not (env.Env.exists path) then io "no such file"
   else begin
-    match Ioutil.read_file path with
-    | Error msg -> Error (Run_error.Io { path; msg })
-    | Ok content -> (
-      let store = Store.create [] in
-      let facts = ref 0 and zero_dropped = ref 0 in
-      let digest = ref fnv_offset in
-      let torn = ref false in
-      let seen_magic = ref false in
-      let handle_line lineno line =
-        match split_tokens line with
-        | [] -> ()
-        | tok :: _ when String.length tok > 0 && tok.[0] = '#' -> ()
-        | tokens when not !seen_magic ->
-          if tokens = [ format_version ] then seen_magic := true
-          else fail_parse path lineno "expected %s magic, got %S" format_version line
-        | [ "rel"; name; arity_s ] -> (
-          match int_of_string_opt arity_s with
-          | None -> fail_parse path lineno "relation %s: unparsable arity %S" name arity_s
-          | Some arity -> (
-            if String.length name = 0 || not (name.[0] >= 'A' && name.[0] <= 'Z') then
-              fail_parse path lineno "relation name %S must start with an upper-case letter" name;
-            match Store.declare store name arity with
-            | Ok () -> ()
-            | Error msg -> fail_parse path lineno "%s" msg))
-        | "rel" :: _ -> fail_parse path lineno "rel needs a name and an arity"
-        | rel :: prob_s :: value_toks -> (
-          let p =
-            try Q.of_string prob_s
-            with Invalid_argument _ -> fail_parse path lineno "unparsable marginal %S" prob_s
-          in
-          let args = Array.of_list (List.map value_of_token value_toks) in
-          match Store.add store ~rel args p with
-          | Ok () -> if Q.is_zero p then incr zero_dropped else incr facts
-          | Error msg -> raise (Bad (Run_error.Validation { what = path; msg = Printf.sprintf "line %d: %s" lineno msg })))
-        | [ _ ] -> fail_parse path lineno "fact line needs a marginal"
-      in
-      try
-        let n = String.length content in
-        let lineno = ref 0 in
-        let pos = ref 0 in
-        while !pos < n do
-          match String.index_from_opt content !pos '\n' with
-          | Some nl ->
-            incr lineno;
-            handle_line !lineno (String.sub content !pos (nl - !pos));
-            digest := fnv_fold !digest content !pos (nl - !pos + 1);
-            pos := nl + 1
-          | None ->
-            (* torn tail: a crash mid-append left a partial last line;
-               ignore it, exactly like the journal's tail repair *)
-            torn := true;
-            pos := n
-        done;
-        if not !seen_magic then
-          Error (Run_error.Parse { what = path; msg = "empty or magic-less file (expected " ^ format_version ^ ")" })
-        else begin
-          Metrics.add m_ingest_facts !facts;
-          Metrics.add m_ingest_bytes n;
-          Trace.annotate
-            [ ("facts", Ipdb_obs.Json.Int !facts); ("torn", Ipdb_obs.Json.Bool !torn) ];
-          Ok { store; facts = !facts; zero_dropped = !zero_dropped; digest = !digest; torn_tail = !torn }
-        end
-      with Bad e -> Error e)
+    match env.Env.openfile path [ Unix.O_RDONLY ] 0 with
+    | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
+    | exception Sys_error msg -> io msg
+    | fd -> (
+      Fun.protect ~finally:(fun () -> try fd.Env.close () with _ -> ()) @@ fun () ->
+      match read path fd with
+      | loaded -> Ok loaded
+      | exception Bad e -> Error e
+      | exception Unix.Unix_error (e, _, _) -> io (Unix.error_message e)
+      | exception Sys_error msg -> io msg)
   end
 
 (* ------------------------------------------------------------------ *)

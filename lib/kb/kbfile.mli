@@ -43,7 +43,11 @@ type loaded = {
 }
 
 val load : string -> (loaded, Ipdb_run.Error.t) result
-(** Read a kb file through the ambient environment. *)
+(** Read a kb file through the ambient environment, in 64 KiB reads:
+    the file is never held whole. Each load adds the tokens that missed
+    the native readers (anything but [n/d] or [n] marginals and [_] or
+    [-?[0-9]{1,18}] values, with at most 18 digits per number) to the
+    [kb.ingest.general_tokens] counter. *)
 
 val write :
   path:string ->

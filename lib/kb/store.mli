@@ -3,12 +3,17 @@
     [Ti.Finite.t] is a sorted assoc list — perfect for the paper-scale
     examples, hopeless at 10⁶ facts. This store keeps one {e columnar}
     table per relation: tuples are arrays of {e interned value ids}
-    (one global intern table for the whole store), marginals are exact
-    rationals kept on a small-int fast path ([num]/[den] native-int
-    columns) with a spill table for the rare bignum marginal, and every
-    bound-position access pattern gets a hash index built lazily on
-    first use. Duplicate facts are rejected at insert via the
-    incrementally-maintained full-tuple index.
+    (one global intern table for the whole store; integers intern
+    through their own open-addressing table without allocating),
+    marginals are exact rationals kept on a small-int fast path
+    ([num]/[den] native-int columns) with a spill table for the rare
+    bignum marginal. Each relation keeps a {e row set}: an
+    open-addressing table of row ids hashed over their column ids and
+    compared against the columns. It rejects duplicate facts at insert
+    and answers full-tuple lookups. Every other access pattern with a
+    bound position gets a counting-sort index (rows grouped by key,
+    one stable counting sort per bound position) built lazily on first
+    use.
 
     The store is single-writer; queries may run from several domains
     once loading is done (lazy index construction is protected by a
@@ -29,10 +34,43 @@ val declare : t -> string -> int -> (unit, string) result
 val schema : t -> (string * int) list
 (** Relations with arities, in name order. *)
 
+val max_arity : int
+(** The largest arity a relation may have (12). *)
+
 val add : t -> rel:string -> Value.t array -> Q.t -> (unit, string) result
 (** Insert one fact. [Error] on an unknown relation, an arity mismatch,
     a marginal outside [0, 1], or a duplicate tuple. A zero marginal is
-    accepted and dropped (mirroring [Ti.Finite.make]). *)
+    accepted and dropped (mirroring [Ti.Finite.make]). This is
+    {!resolve}, {!admit}, {!intern} and {!insert} in turn. *)
+
+(** {2 The insert path, step by step}
+
+    What {!add} does, split so that a loader can skip building
+    [Value.t]s and [Q.t]s: resolve the relation once per run of facts,
+    validate, intern, insert. A marginal is passed as a native coprime
+    pair [num/den] when [den > 0]; with [den = 0] it is [p]. *)
+
+type rel_handle
+
+val resolve : t -> string -> (rel_handle, string) result
+(** The relation's handle; [Error] names an unknown relation. *)
+
+val admit : rel_handle -> nargs:int -> num:int -> den:int -> Q.t -> (bool, string) result
+(** Validate a fact of [nargs] values before interning them: [Error]
+    on an arity mismatch or a marginal outside [0, 1], [Ok false] for a
+    zero marginal (to be dropped), [Ok true] otherwise. *)
+
+val intern : t -> Value.t -> int
+(** The value's id, allocated on first occurrence (ids are dense, in
+    first-occurrence order). *)
+
+val intern_int : t -> int -> int
+(** [intern t (Int n)] without allocating the [Value.t] unless [n] is new. *)
+
+val insert : rel_handle -> int array -> num:int -> den:int -> Q.t -> (unit, string) result
+(** Append the admitted fact whose interned ids are
+    [ids.(0 .. arity-1)]; [Error] on a duplicate tuple. With a native
+    marginal it allocates nothing unless a column or the row set grows. *)
 
 val fact_count : t -> int
 val distinct_values : t -> int
@@ -60,8 +98,6 @@ val to_ti : t -> Ipdb_pdb.Ti.Finite.t
     allocated in insertion order, so anything sorted by id is
     deterministic for a given ingest order. *)
 
-type rel_handle
-
 val handle : t -> string -> rel_handle option
 val handle_arity : rel_handle -> int
 val handle_rows : rel_handle -> int
@@ -76,9 +112,20 @@ val value_of_id : t -> int -> Value.t
 val rows_matching : rel_handle -> mask:int -> key:int array -> int array
 (** Row ids whose tuple agrees with [key] on the bound positions of
     [mask] (bit [i] set = position [i] bound, [key] lists bound
-    positions in ascending order), in ascending row order. Builds the
-    index for [mask] on first use (one O(rows) pass per distinct mask,
-    cached until the next {!add}). *)
+    positions in ascending order), in ascending row order. Ids in [key]
+    that were never interned match nothing. The result is shared with
+    the index: do not mutate it.
+    - [mask = 0]: every row, one array built on first use.
+    - Every position bound: the row set answers with a fresh one-row
+      (or empty) array; no index is built.
+    - Otherwise the index for [mask] is built on first use and cached
+      until the next insert: one stable counting sort per bound position
+      groups the rows by key (O(rows + values) each). A probe indexes
+      the groups by the first bound position's id, then binary-searches
+      them on the rest; it allocates nothing.
+
+    Each build counts in [kb.index.builds] and runs in a
+    [store.index_build] trace span with [rel], [mask] and [rows]. *)
 
 val cell : rel_handle -> row:int -> pos:int -> int
 (** Interned value id at a tuple position. *)

@@ -91,27 +91,66 @@ done
 # gen → ingest → query covering exits 0 (positive marginal), 1 (certified
 # zero), 2 (unsafe plan without --mc-samples; missing file), 3 (budget),
 # plus the Monte-Carlo fallback and the exact independence test.
+golden() {
+  printf '%s\n' "$1" > "$TMP/want"
+  cmp -s "$TMP/out" "$TMP/want" || fail "$2: answer drifted: $(cat "$TMP/out")"
+}
 run 0 "kb-gen" "$IPDB" kb gen -o "$TMP/kb.kb" --facts 200 --seed 3 \
   --relations R/2,T/1 --universe 50
 grep -qx 'wrote 200 facts to .*/kb\.kb' "$TMP/out" || fail "kb-gen: bad summary line"
 run 0 "kb-stats" "$IPDB" kb stats "$TMP/kb.kb"
 grep -qx 'facts: 200' "$TMP/out" || fail "kb-stats: wrong fact count"
 grep -qx 'digest: [0-9a-f]\{16\}' "$TMP/out" || fail "kb-stats: missing digest"
+# The whole summary is pinned: the distinct-value count and the expected
+# size depend on intern order, so a reordering ingest would show here.
+golden "$(printf '%s\n' \
+  'relation R/2: 197 facts' \
+  'relation T/1: 3 facts' \
+  'facts: 200' \
+  'distinct values: 50' \
+  'spilled marginals: 0' \
+  'zero-marginal lines dropped: 0' \
+  'expected instance size: 101.3497' \
+  'digest: 22caaf0510931267')" "kb-stats"
 digest1=$(grep '^digest: ' "$TMP/out")
 run 0 "kb-stats-again" "$IPDB" kb stats "$TMP/kb.kb"
 [ "$(grep '^digest: ' "$TMP/out")" = "$digest1" ] || fail "kb-stats: digest not stable"
 
+# A zero denominator is a parse error (exit 2), never an internal one.
+printf 'ipdbkb1\nrel T 1\nT 1/0 5\n' > "$TMP/zero.kb"
+run 2 "kb-zero-denominator" "$IPDB" kb ingest "$TMP/zero.kb"
+grep -qx 'ipdb: E_PARSE: cannot parse .*/zero\.kb: line 3: unparsable marginal "1/0"' "$TMP/err" \
+  || fail "kb-zero-denominator: wrong diagnostic: $(cat "$TMP/err")"
+
+# Which reader ran: a generated kb takes the native reader for every
+# token (the counter stays 0, so --metrics omits it); this file sends
+# exactly six tokens to the general one (0.25 alice +5 0.5 0x1F bob).
+run 0 "kb-general-none" "$IPDB" kb ingest "$TMP/kb.kb" --metrics
+grep -q '^metric kb\.ingest\.facts 200$' "$TMP/err" || fail "kb-general-none: no ingest metrics"
+if grep -q '^metric kb\.ingest\.general_tokens' "$TMP/err"; then
+  fail "kb-general-none: generated kb left the native reader: $(cat "$TMP/err")"
+fi
+printf '%s\n' ipdbkb1 'rel R 2' 'rel T 1' 'T 0.25 alice' 'T 1/3 +5' 'T 2/3 -3' \
+  'R 0.5 0x1F 7' 'R 1/2 _ bob' 'R 3/4 _ 12' > "$TMP/general.kb"
+run 0 "kb-general-count" "$IPDB" kb ingest "$TMP/general.kb" --metrics
+grep -qx 'metric kb\.ingest\.general_tokens 6' "$TMP/err" \
+  || fail "kb-general-count: general-token count drifted: $(cat "$TMP/err")"
+
 # Golden answers on this kb: every printed rational is pinned byte for
 # byte, so a change of plan cannot drift an answer unnoticed. Shapes:
 # project, join, union, A ∨ (A ∧ B) and a repeated variable.
-golden() {
-  printf '%s\n' "$1" > "$TMP/want"
-  cmp -s "$TMP/out" "$TMP/want" || fail "$2: answer drifted: $(cat "$TMP/out")"
-}
 run 0 "kb-exit0" "$IPDB" kb query "$TMP/kb.kb" 'exists x y. R(x,y)'
 golden 'P(∃x.(∃y.R(x,y))) = 24642010070514050993700157811537455479217256585875733191065599999999999/24642010070514050993700157811537455479217256585875733191065600000000000 ≈ 0.99999999' "kb-exit0"
 run 0 "kb-join" "$IPDB" kb query "$TMP/kb.kb" 'exists x y. (R(x,y) & T(x))'
 golden 'P(∃x.(∃y.(R(x,y) ∧ T(x)))) = 426007283/451630080 ≈ 0.94326596' "kb-join"
+# Every real index build is one store.index_build span naming its
+# relation, mask and rows; the join's ground T(x) probes build none.
+run 0 "kb-index-spans" "$IPDB" kb query "$TMP/kb.kb" 'exists x y. (R(x,y) & T(x))' --trace "$TMP/kb.jsonl"
+grep -o '"name": "store.index_build", "attrs": {[^}]*}' "$TMP/kb.jsonl" > "$TMP/out" || true
+golden "$(printf '%s\n' \
+  '"name": "store.index_build", "attrs": {"rel": "R", "mask": 0, "rows": 197}' \
+  '"name": "store.index_build", "attrs": {"rel": "T", "mask": 0, "rows": 3}' \
+  '"name": "store.index_build", "attrs": {"rel": "R", "mask": 1, "rows": 197}')" "kb-index-spans"
 run 0 "kb-union" "$IPDB" kb query "$TMP/kb.kb" '(exists x. T(x)) | (exists x y. R(x,y))'
 golden 'P((∃x.T(x)) ∨ (∃x.(∃y.R(x,y)))) = 929355808373672780333834523177984035216193676953027651777331199999999999/929355808373672780333834523177984035216193676953027651777331200000000000 ≈ 0.99999999' "kb-union"
 run 0 "kb-absorb" "$IPDB" kb query "$TMP/kb.kb" '(exists x. T(x)) | ((exists x. T(x)) & (exists x y. R(x,y)))'
@@ -133,6 +172,8 @@ grep -q 'E_BUDGET: kb\.query: step budget exhausted' "$TMP/err" || fail "kb-exit
 run 0 "kb-mc" "$IPDB" kb query "$TMP/kb.kb" --mc-samples 400 --seed 9 \
   'exists x y. (R(x,y) and R(y,x))'
 grep -q '± .* (mc, 400 samples, confidence 0.95' "$TMP/out" || fail "kb-mc: estimate line drifted"
+# Sampling walks the rows in order, so the seeded estimate pins row order.
+golden 'P(∃x.(∃y.(R(x,y) ∧ R(y,x)))) ≈ 0.992500 ± 0.067905 (mc, 400 samples, confidence 0.95, interval [0.924595, 1])' "kb-mc"
 cp "$TMP/out" "$TMP/mc1"
 run 0 "kb-mc-repeat" "$IPDB" kb query "$TMP/kb.kb" --mc-samples 400 --seed 9 \
   'exists x y. (R(x,y) and R(y,x))'

@@ -348,6 +348,84 @@ let test_store_rows_matching () =
   Alcotest.(check int) "full-tuple probe" 1 (Array.length rows_exact);
   Alcotest.(check int) "no row for an absent key" 0 (Array.length (Store.rows_matching h ~mask:0b01 ~key:[| id 30 |]))
 
+(* Random stores over relations of arity 0–3 holding Int, Str and Bot
+   values; [late] facts arrive after every index has been built. *)
+type store_case = { rels : (string * int) list; early : (string * Value.t list) list; late : (string * Value.t list) list }
+
+let arb_store_case =
+  let print c =
+    let fact (rel, args) = rel ^ "(" ^ String.concat "," (List.map Value.to_string args) ^ ")" in
+    Printf.sprintf "rels=%s early=%s late=%s"
+      (String.concat "," (List.map (fun (r, a) -> Printf.sprintf "%s/%d" r a) c.rels))
+      (String.concat " " (List.map fact c.early))
+      (String.concat " " (List.map fact c.late))
+  in
+  let gen st =
+    let rels = List.filteri (fun _ _ -> Random.State.bool st) [ ("A", 0); ("B", 1); ("C", 2); ("D", 3) ] in
+    let rels = if rels = [] then [ ("D", 3) ] else rels in
+    let value () =
+      match Random.State.int st 3 with
+      | 0 -> Value.int (Random.State.int st 4)
+      | 1 -> Value.str [| "a"; "b"; "c" |].(Random.State.int st 3)
+      | _ -> Value.bot
+    in
+    let fact () =
+      let rel, arity = List.nth rels (Random.State.int st (List.length rels)) in
+      (rel, List.init arity (fun _ -> value ()))
+    in
+    let facts n = List.init (Random.State.int st n) (fun _ -> fact ()) in
+    { rels; early = facts 40; late = facts 10 }
+  in
+  QCheck.make ~print gen
+
+let naive_rows h ~mask ~key =
+  let bound = List.filter (fun pos -> mask land (1 lsl pos) <> 0) (List.init (Store.handle_arity h) Fun.id) in
+  List.init (Store.handle_rows h) Fun.id
+  |> List.filter (fun row -> List.for_all2 (fun pos id -> Store.cell h ~row ~pos = id) bound (Array.to_list key))
+
+(* Every mask of every relation, probed with each row's own key and with
+   keys over every id up to two past the last interned one. *)
+let probes store =
+  let nv = Store.distinct_values store in
+  List.concat_map
+    (fun (rel, arity) ->
+      let h = Option.get (Store.handle store rel) in
+      List.concat_map
+        (fun mask ->
+          let bound = List.filter (fun pos -> mask land (1 lsl pos) <> 0) (List.init arity Fun.id) in
+          let own = List.init (Store.handle_rows h) (fun row -> Array.of_list (List.map (fun pos -> Store.cell h ~row ~pos) bound)) in
+          let spread = List.init (nv + 2) (fun id -> Array.of_list (List.mapi (fun j _ -> (id + j) mod (nv + 2)) bound)) in
+          List.map (fun key -> (h, mask, key)) (own @ spread))
+        (List.init (1 lsl arity) Fun.id))
+    (Store.schema store)
+
+let answers probes = List.map (fun (h, mask, key) -> Array.to_list (Store.rows_matching h ~mask ~key)) probes
+
+let rows_matching_is_a_filter c =
+  let s = Store.create c.rels in
+  let add (rel, args) = ignore (Store.add s ~rel (Array.of_list args) (Q.of_ints 1 2)) in
+  List.iter add c.early;
+  let check what probes got =
+    List.for_all2
+      (fun (h, mask, key) rows ->
+        rows = naive_rows h ~mask ~key
+        || fail "%s: %s mask %d key [%s]: got [%s]" what (Store.handle_name h) mask
+             (String.concat ";" (Array.to_list (Array.map string_of_int key)))
+             (String.concat ";" (List.map string_of_int rows)))
+      probes got
+  in
+  (* first use from two domains at once *)
+  let ps = probes s in
+  let d1 = Domain.spawn (fun () -> answers ps) and d2 = Domain.spawn (fun () -> answers ps) in
+  let r1 = Domain.join d1 and r2 = Domain.join d2 in
+  check "domain 1" ps r1 && check "domain 2" ps r2
+  && begin
+       (* inserts after the builds invalidate them *)
+       List.iter add c.late;
+       let ps = probes s in
+       check "after add" ps (answers ps)
+     end
+
 (* ------------------------------------------------------------------ *)
 (* ipdbkb1 file format                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -430,10 +508,178 @@ let test_kbfile_malformed () =
       | Error (Error.Validation _) -> ()
       | Error e -> Alcotest.fail ("wrong error for duplicate fact: " ^ Error.message e)
       | Ok _ -> Alcotest.fail "duplicate fact accepted");
+      (* A zero denominator is a parse error, native spelling or not. *)
+      List.iter
+        (fun marginal ->
+          write_raw path (Printf.sprintf "ipdbkb1\nrel T 1\nT %s 5\n" marginal);
+          match Kbfile.load path with
+          | Error (Error.Parse { msg; _ }) ->
+              Alcotest.(check string) ("zero denominator " ^ marginal) (Printf.sprintf "line 3: unparsable marginal %S" marginal) msg
+          | Error e -> Alcotest.fail ("wrong error for a zero denominator: " ^ Error.message e)
+          | Ok _ -> Alcotest.fail ("zero denominator accepted: " ^ marginal))
+        [ "1/0"; "0/0"; "1/00"; "+1/0"; "1_0/0" ];
       write_raw path "ipdbkb1\nrel T 1\n# comment\n\nT 3/4 9\n";
       match Kbfile.load path with
       | Ok l -> Alcotest.(check int) "comments and blank lines skipped" 1 l.Kbfile.facts
       | Error e -> Alcotest.fail (Error.message e))
+
+(* ------------------------------------------------------------------ *)
+(* The reader against a whitespace-split reference                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The ipdbkb1 semantics as a plain reference: split each complete line
+   on blanks, read the marginal with [Q.of_string] and each value with
+   [int_of_string_opt], insert through [Store.add]. The reader must agree
+   with it on every input: the same error kind and message, or the same
+   counts, digest, torn flag, intern table size and facts in order. *)
+let reference_load path text =
+  let store = Store.create [] in
+  let facts = ref 0 and zero = ref 0 and seen_magic = ref false in
+  let parse lineno fmt =
+    Printf.ksprintf (fun msg -> Stdlib.Error (Error.Parse { what = path; msg = Printf.sprintf "line %d: %s" lineno msg })) fmt
+  in
+  let invalid lineno msg = Stdlib.Error (Error.Validation { what = path; msg = Printf.sprintf "line %d: %s" lineno msg }) in
+  let tokens line =
+    String.split_on_char ' ' (String.map (function '\t' | '\r' -> ' ' | c -> c) line) |> List.filter (( <> ) "")
+  in
+  let value tok = if tok = "_" then Value.bot else match int_of_string_opt tok with Some n -> Value.int n | None -> Value.str tok in
+  let line lineno text =
+    match tokens text with
+    | [] -> Ok ()
+    | tok :: _ when tok.[0] = '#' -> Ok ()
+    | toks when not !seen_magic ->
+        if toks = [ "ipdbkb1" ] then Ok (seen_magic := true) else parse lineno "expected ipdbkb1 magic, got %S" text
+    | [ "rel"; name; arity ] -> (
+        match int_of_string_opt arity with
+        | None -> parse lineno "relation %s: unparsable arity %S" name arity
+        | Some _ when not (name.[0] >= 'A' && name.[0] <= 'Z') ->
+            parse lineno "relation name %S must start with an upper-case letter" name
+        | Some arity -> ( match Store.declare store name arity with Ok () -> Ok () | Error msg -> parse lineno "%s" msg))
+    | "rel" :: _ -> parse lineno "rel needs a name and an arity"
+    | [ _ ] -> parse lineno "fact line needs a marginal"
+    | rel :: marginal :: values -> (
+        match Q.of_string marginal with
+        | exception (Invalid_argument _ | Division_by_zero) -> parse lineno "unparsable marginal %S" marginal
+        | p -> (
+            match Store.add store ~rel (Array.of_list (List.map value values)) p with
+            | Ok () -> Ok (if Q.is_zero p then incr zero else incr facts)
+            | Error msg -> invalid lineno msg))
+  in
+  let lines = String.split_on_char '\n' text in
+  let tail = List.nth lines (List.length lines - 1) in
+  let complete = List.rev (List.tl (List.rev lines)) in
+  let torn = tail <> "" in
+  let rec go lineno = function
+    | [] -> Ok ()
+    | l :: rest -> ( match line lineno l with Ok () -> go (lineno + 1) rest | Error _ as e -> e)
+  in
+  match go 1 complete with
+  | Error e -> Error e
+  | Ok () when not !seen_magic -> Error (Error.Parse { what = path; msg = "empty or magic-less file (expected ipdbkb1)" })
+  | Ok () ->
+      let consumed = String.length text - String.length tail in
+      let digest = ref 0xcbf29ce484222325L in
+      String.iteri
+        (fun i c -> if i < consumed then digest := Int64.mul (Int64.logxor !digest (Int64.of_int (Char.code c))) 0x100000001b3L)
+        text;
+      Ok (store, !facts, !zero, !digest, torn)
+
+let kb_facts store =
+  let out = ref [] in
+  Store.iter store (fun rel args p -> out := (rel, Array.to_list args, Q.to_string p) :: !out);
+  List.rev !out
+
+(* Near-valid ipdbkb1 text from the grammar: the native spellings, their
+   edges (18 vs 19 digits, zero denominators, signs, separators) and the
+   layout cases the line handler sees. Each line goes wrong with a small
+   chance, so most files load far enough to compare their facts. *)
+let kb_good_marginals =
+  [| "0/5"; "5/5"; "0"; "00"; "1"; "0.25"; "0.5"; "1_0/30"; "+1/2"; "007/010"; "999999999999999999/999999999999999999";
+     "1/999999999999999999"; "1/1000000000000000000"; "1/9999999999999999999"; "0/1000000000000000000";
+     "1000000000000000000/3000000000000000000";
+     "123456789012345678/987654321098765432" |]
+
+let kb_bad_marginals = [| "6/5"; "2"; "1/0"; "0/0"; "1/00"; "+1/0"; "-1/2"; "1/2/3"; "/2"; "1/"; "0.5.5"; "abc"; "1e3" |]
+
+let kb_odd_values =
+  [| "0"; "5"; "007"; "-0"; "+5"; "05"; "0x1F"; "31"; "-5"; "4611686018427387903"; "4611686018427387904"; "-4611686018427387904";
+     "-4611686018427387905"; "123456789012345678"; "1234567890123456789"; "9999999999999999999"; "-123456789012345678"; "_"; "_x"; "__"; "alice";
+     "-"; "1_000"; "1000"; "0b11"; "#c" |]
+
+let gen_kb_text st =
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  let chance n = Random.State.int st n = 0 in
+  let sep () = pick [| " "; " "; " "; "\t"; "  "; " \t " |] in
+  let buf = Buffer.create 256 in
+  let line toks =
+    if chance 8 then Buffer.add_string buf (sep ());
+    Buffer.add_string buf (String.concat (sep ()) toks);
+    if chance 8 then Buffer.add_string buf (sep ());
+    if chance 6 then Buffer.add_char buf '\r';
+    Buffer.add_char buf '\n'
+  in
+  let rels = [| ("R", 2); ("T", 1); ("P", 0); ("U", 3) |] in
+  let decl (name, arity) = line [ "rel"; name; string_of_int arity ] in
+  if chance 10 then line [ "#"; "header" ];
+  if chance 10 then Buffer.add_char buf '\n';
+  if not (chance 40) then line [ (if chance 40 then "ipdbkb2" else "ipdbkb1") ];
+  (* U is often declared mid-file, after its first facts may have appeared *)
+  Array.iter (fun r -> if fst r <> "U" || Random.State.bool st then decl r) rels;
+  let value () = if chance 4 then pick kb_odd_values else string_of_int (Random.State.int st 200) in
+  let last = ref [] in
+  for _ = 1 to Random.State.int st 40 do
+    match Random.State.int st 150 with
+    | 0 -> decl (pick rels)
+    | 1 -> line [ "rel"; pick [| "r"; "T"; "X"; "Y" |]; pick [| "1"; "2"; "-1"; "two" |] ]
+    | 2 -> line [ "#"; value () ]
+    | 3 -> Buffer.add_char buf '\n'
+    | 4 -> line [ pick [| "rel"; "T"; "rel T" |] ]
+    | 5 -> line !last
+    | _ ->
+        let name, arity = if chance 150 then ("V", 1) else pick (Array.sub rels 0 (if chance 10 then 4 else 2)) in
+        let arity = if chance 100 then arity + pick [| -1; 1 |] else arity in
+        let marginal =
+          if chance 80 then pick kb_bad_marginals else if chance 3 then pick kb_good_marginals else pick [| "1/2"; "1/3"; "3/4" |]
+        in
+        last := name :: marginal :: List.init (max 0 arity) (fun _ -> value ());
+        line !last
+  done;
+  if chance 4 then Buffer.add_string buf (pick [| "T 1/2"; "R"; "garbage"; " " |]);
+  Buffer.contents buf
+
+let arb_kb_text = QCheck.make ~print:(fun s -> s) gen_kb_text
+
+let reader_matches_reference text =
+  with_tmp (fun path ->
+      write_raw path text;
+      match (Kbfile.load path, reference_load path text) with
+      | Error e, Error e' ->
+          if e = e' then true else fail "error %s <> reference %s" (Error.to_string e) (Error.to_string e')
+      | Ok l, Ok (store, facts, zero, digest, torn) ->
+          if l.Kbfile.facts <> facts || l.Kbfile.zero_dropped <> zero then
+            fail "counts %d/%d <> reference %d/%d" l.Kbfile.facts l.Kbfile.zero_dropped facts zero
+          else if l.Kbfile.digest <> digest then fail "digest %016Lx <> reference %016Lx" l.Kbfile.digest digest
+          else if l.Kbfile.torn_tail <> torn then fail "torn flag differs"
+          else if Store.distinct_values l.Kbfile.store <> Store.distinct_values store then
+            fail "distinct values %d <> reference %d" (Store.distinct_values l.Kbfile.store) (Store.distinct_values store)
+          else if kb_facts l.Kbfile.store <> kb_facts store then fail "facts differ from the reference"
+          else true
+      | Ok _, Error e -> fail "accepted; the reference fails with %s" (Error.to_string e)
+      | Error e, Ok _ -> fail "failed with %s; the reference accepts" (Error.to_string e))
+
+(* Files larger than the reader's 64 KiB window: lines straddle refills,
+   and a 150 KB token makes the window grow twice. *)
+let test_reader_window () =
+  let st = Random.State.make [| 16 |] in
+  let buf = Buffer.create (1 lsl 20) in
+  Buffer.add_string buf "ipdbkb1\nrel R 2\nrel T 1\n";
+  for i = 0 to 20_000 do
+    if i = 7_000 then Buffer.add_string buf ("T 1/1" ^ String.make 40 '0' ^ " 5\n");
+    if i = 9_000 then Buffer.add_string buf ("T 1/3 " ^ String.make 150_000 'x' ^ "\n");
+    Buffer.add_string buf (Printf.sprintf "R %d/7 %d %d\n" (Random.State.int st 8) i (Random.State.int st 50))
+  done;
+  Buffer.add_string buf "R 1/2 0";
+  if not (reader_matches_reference (Buffer.contents buf)) then Alcotest.fail "reader differs from the reference"
 
 (* ------------------------------------------------------------------ *)
 (* Generator exactness                                                 *)
@@ -526,12 +772,16 @@ let () =
           Alcotest.test_case "insert contract and marginal lookup" `Quick test_store_basics;
           Alcotest.test_case "bignum marginals spill exactly" `Quick test_store_spill;
           Alcotest.test_case "per-mask indexes answer bound-position probes" `Quick test_store_rows_matching;
+          prop ~count:150 "rows_matching = ascending filter, every mask, two domains, after add" arb_store_case
+            rows_matching_is_a_filter;
         ] );
       ( "kbfile",
         [
           Alcotest.test_case "write/load roundtrip with stable digest" `Quick test_kbfile_roundtrip;
           Alcotest.test_case "torn tail is ignored and flagged" `Quick test_kbfile_torn_tail;
           Alcotest.test_case "malformed records are typed errors" `Quick test_kbfile_malformed;
+          prop ~count:500 "reader = whitespace-split reference on near-valid text" arb_kb_text reader_matches_reference;
+          Alcotest.test_case "reader = reference across 64 KiB window refills" `Quick test_reader_window;
         ] );
       ( "generate",
         [
