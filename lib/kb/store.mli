@@ -4,7 +4,7 @@
     examples, hopeless at 10⁶ facts. This store keeps one {e columnar}
     table per relation: tuples are arrays of {e interned value ids}
     (one global intern table for the whole store; integers intern
-    through their own open-addressing table without allocating),
+    through their own table without allocating),
     marginals are exact rationals kept on a small-int fast path
     ([num]/[den] native-int columns) with a spill table for the rare
     bignum marginal. Each relation keeps a {e row set}: an
