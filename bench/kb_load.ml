@@ -62,23 +62,13 @@ let agreement_queries =
     ex "x" (ex "y" (Fo.And (Fo.Atom ("R", [ v "x"; v "y" ]), Fo.Atom ("R", [ v "y"; v "x" ]))));
   ]
 
-let store_of_ti ti =
-  let store = Store.create (Schema.relations (Ti.Finite.schema ti)) in
-  List.iter
-    (fun (f, p) ->
-      match Store.add store ~rel:(Fact.rel f) (Array.of_list (Fact.args f)) p with
-      | Ok () -> ()
-      | Error m -> die "store_of_ti: %s" m)
-    (Ti.Finite.facts ti);
-  store
-
 let agreement_sweep () =
   let checked = ref 0 and matched = ref 0 and unsafe = ref 0 in
   for instance = 0 to 4 do
     let rng = Generate.rng (!seed + instance) in
     let schema = Schema.make relations in
     let ti = Generate.ti rng ~schema ~facts:8 ~universe:3 in
-    let store = store_of_ti ti in
+    let store = Store.of_ti ti in
     List.iter
       (fun phi ->
         match Pqe.ucq_of_formula phi with

@@ -511,6 +511,9 @@ let exp_pqe () =
   section "PQE on TI-PDBs — lifted plan vs lineage (Shannon) vs enumeration";
   let module Pqe = Ipdb_pdb.Pqe in
   let module Lineage = Ipdb_pdb.Lineage in
+  (* the extensional plan of Ipdb_kb.Lifted over the TI-PDB's facts;
+     [None] when the query has no safe plan *)
+  let lifted_plan ti cq = Result.get_ok (Ipdb_kb.Lifted.ucq_probability (Ipdb_kb.Store.of_ti ti) [ cq ]) in
   (* growing chain TI-PDBs; query q = ∃x∃y R(x,y) ∧ S(x) (hierarchical) *)
   let schema = Schema.make [ ("R", 2); ("S", 1) ] in
   let make_ti n =
@@ -527,7 +530,7 @@ let exp_pqe () =
   List.iter
     (fun n ->
       let ti = make_ti n in
-      let lifted = Option.get (Pqe.lifted_cq_probability ti cq) in
+      let lifted = Option.get (lifted_plan ti cq) in
       let lin = Lineage.of_sentence ti q in
       let vars = List.length (Lineage.vars lin) in
       let shannon = if vars <= Lineage.max_vars then Some (Lineage.probability ti lin) else None in
@@ -550,7 +553,7 @@ let exp_pqe () =
   (match Pqe.cq_of_formula h0 with
   | Some cq0 ->
     row "  H0-shaped query: lifted plan refuses (non-hierarchical): %s\n"
-      (ok (Pqe.lifted_cq_probability ti cq0 = None))
+      (ok (lifted_plan ti cq0 = None))
   | None -> ());
   let lin = Lineage.of_sentence ti h0 in
   let p_lin = Lineage.probability ti lin in

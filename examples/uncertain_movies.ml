@@ -25,6 +25,8 @@ module Pqe = Ipdb_pdb.Pqe
 module Lineage = Ipdb_pdb.Lineage
 module Estimate = Ipdb_pdb.Estimate
 module Finite_pdb = Ipdb_pdb.Finite_pdb
+module Store = Ipdb_kb.Store
+module Lifted = Ipdb_kb.Lifted
 
 let schema = Schema.make [ ("Director", 1); ("Directed", 2); ("SciFi", 1) ]
 let s v = Value.Str v
@@ -51,7 +53,9 @@ let () =
   let cq1 = Option.get (Pqe.cq_of_formula q1) in
   Format.printf "q1 = %s@." (Fo.to_string q1);
   Format.printf "  hierarchical? %b, self-join-free? %b@." (Pqe.is_hierarchical cq1) (Pqe.is_self_join_free cq1);
-  let lifted = Option.get (Pqe.lifted_cq_probability movies cq1) in
+  (* the lifted plan runs over an indexed fact store (Ipdb_kb) *)
+  let store = Store.of_ti movies in
+  let lifted = Option.get (Result.get_ok (Lifted.ucq_probability store [ cq1 ])) in
   Format.printf "  lifted (extensional) plan : %s ≈ %s@." (Q.to_string lifted) (Q.to_decimal_string ~digits:6 lifted);
   let lin1 = Lineage.of_sentence movies q1 in
   Format.printf "  lineage                   : %a@." Lineage.pp lin1;
@@ -75,7 +79,7 @@ let () =
   Format.printf "q2 = %s@." (Fo.to_string q2);
   Format.printf "  hierarchical? %b — the extensional plan refuses (Dalvi–Suciu): %b@."
     (Pqe.is_hierarchical cq2)
-    (Pqe.lifted_cq_probability movies cq2 = None);
+    (Lifted.ucq_probability store [ cq2 ] = Ok None);
   let lin2 = Lineage.of_sentence movies q2 in
   Format.printf "  lineage has %d variables, size %d@." (List.length (Lineage.vars lin2)) (Lineage.size lin2);
   let p2 = Lineage.probability movies lin2 in

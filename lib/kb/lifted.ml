@@ -431,8 +431,12 @@ let ucq_exact ?pool ?(memo = Hashtbl.create 16) budget store ucq =
 
 let ucq_probability ?pool ?budget store ucq =
   let budget = Option.value budget ~default:Budget.unlimited in
-  match ucq_exact ?pool budget store ucq with
+  match
+    validate_schema store ucq;
+    ucq_exact ?pool budget store ucq
+  with
   | p -> Ok (Some p)
+  | exception Reject e -> Error e
   | exception Unsafe _ -> Ok None
   | exception Trip e -> Error (Run_error.Exhausted { what = "kb.query"; reason = e })
 

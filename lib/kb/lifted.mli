@@ -29,9 +29,10 @@
 
     A conjunction is {e safe} here when its open atoms are self-join-free
     with relations disjoint from its ground atoms' and every component
-    (recursively) has a root. That is strictly more permissive than
-    [Pqe.lifted_cq_probability]'s whole-CQ check: repeated {e ground}
-    atoms of one relation are fine, which inclusion–exclusion relies on.
+    (recursively) has a root. That admits every conjunction that is
+    self-join-free and hierarchical as a whole ([Pqe.is_self_join_free],
+    [Pqe.is_hierarchical]), and more: repeated {e ground} atoms of one
+    relation are fine, which inclusion–exclusion relies on.
 
     Exact answers are rationals, independent of chunking and worker
     count. One budget step is consumed per root-candidate substitution,
@@ -65,7 +66,9 @@ val ucq_probability :
   (Q.t option, Ipdb_run.Error.t) result
 (** Exact inclusion–exclusion. [Ok None] when some conjunction is
     unsafe or the (deduplicated) union exceeds [Pqe.max_union_terms];
-    [Error] on budget exhaustion. *)
+    [Error (Validation _)] when an atom names a relation the store lacks
+    or uses it with the wrong number of arguments (the check and message
+    of {!query}); [Error (Exhausted _)] on budget exhaustion. *)
 
 val query :
   ?pool:Ipdb_par.Pool.t ->

@@ -361,6 +361,16 @@ let to_ti t =
   iter t (fun rel args p -> facts := (Fact.make rel (Array.to_list args), p) :: !facts);
   Ipdb_pdb.Ti.Finite.make (Schema.make (schema t)) (List.rev !facts)
 
+let of_ti ti =
+  let t = create (Schema.relations (Ipdb_pdb.Ti.Finite.schema ti)) in
+  List.iter
+    (fun (f, p) ->
+      match add t ~rel:(Fact.rel f) (Array.of_list (Fact.args f)) p with
+      | Ok () -> ()
+      | Error m -> invalid_arg ("Store.of_ti: " ^ m))
+    (Ipdb_pdb.Ti.Finite.facts ti);
+  t
+
 (* ------------------------------------------------------------------ *)
 (* Query-engine surface                                                *)
 (* ------------------------------------------------------------------ *)

@@ -91,6 +91,12 @@ val to_ti : t -> Ipdb_pdb.Ti.Finite.t
 (** Materialise as a [Ti.Finite.t] (small stores; tests and the
     enumeration cross-check). *)
 
+val of_ti : Ipdb_pdb.Ti.Finite.t -> t
+(** The dual of {!to_ti}: a store over the TI-PDB's schema (relations
+    without facts included) holding its facts, in list order. This is
+    how a [Ti.Finite.t] reaches {!Lifted}.
+    @raise Invalid_argument on an arity above {!max_arity}. *)
+
 (** {1 Query-engine surface}
 
     Low-level access used by {!Lifted}. Row ids are [0 .. rows-1] per

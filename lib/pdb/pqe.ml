@@ -1,8 +1,5 @@
-module Q = Ipdb_bignum.Q
 module Value = Ipdb_relational.Value
-module Fact = Ipdb_relational.Fact
 module Fo = Ipdb_logic.Fo
-module Eval = Ipdb_logic.Eval
 
 type cq_atom = { rel : string; args : Fo.term list }
 type cq = { exists : Fo.var list; atoms : cq_atom list }
@@ -80,79 +77,6 @@ let components atoms =
       comp :: split others
   in
   split atoms
-
-(* ------------------------------------------------------------------ *)
-(* Extensional plan                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module VS = Set.Make (Value)
-
-let lifted_cq_probability ti q =
-  if not (is_self_join_free q) then None
-  else begin
-    let domain =
-      let s =
-        List.fold_left
-          (fun acc (f, _) -> List.fold_left (fun acc v -> VS.add v acc) acc (Fact.values f))
-          VS.empty (Ti.Finite.facts ti)
-      in
-      let s =
-        List.fold_left
-          (fun acc a ->
-            List.fold_left (fun acc t -> match t with Fo.C v -> VS.add v acc | Fo.V _ -> acc) acc a.args)
-          s q.atoms
-      in
-      VS.elements s
-    in
-    let ground_atom a =
-      Fact.make a.rel (List.map (fun t -> match t with Fo.C v -> v | Fo.V _ -> assert false) a.args)
-    in
-    let substitute_atom x v a =
-      { a with args = List.map (fun t -> match t with Fo.V y when String.equal y x -> Fo.C v | t -> t) a.args }
-    in
-    let rec lift atoms =
-      match atoms with
-      | [] -> Some Q.one
-      | _ -> begin
-        (* split off ground atoms: independent of everything else *)
-        let ground, open_atoms = List.partition (fun a -> atom_vars a = []) atoms in
-        let p_ground = Q.prod (List.map (fun a -> Ti.Finite.marginal ti (ground_atom a)) ground) in
-        if Q.is_zero p_ground then Some Q.zero
-        else if open_atoms = [] then Some p_ground
-        else begin
-          match components open_atoms with
-          | [] -> Some p_ground
-          | [ component ] -> begin
-            (* independent-project: a variable occurring in every atom *)
-            let vars = List.sort_uniq String.compare (List.concat_map atom_vars component) in
-            let n = List.length component in
-            match
-              List.find_opt (fun x -> List.length (List.filter (fun a -> List.mem x (atom_vars a)) component) = n) vars
-            with
-            | None -> None (* not hierarchical: unsafe for extensional rules *)
-            | Some root ->
-              let rec over_domain acc = function
-                | [] -> Some acc
-                | v :: rest -> (
-                  match lift (List.map (substitute_atom root v) component) with
-                  | None -> None
-                  | Some p -> over_domain (Q.mul acc (Q.one_minus p)) rest)
-              in
-              Option.map (fun none_prob -> Q.mul p_ground (Q.one_minus none_prob)) (over_domain Q.one domain)
-          end
-          | comps ->
-            (* independent-join across components *)
-            let rec product acc = function
-              | [] -> Some acc
-              | comp :: rest -> (
-                match lift comp with None -> None | Some p -> product (Q.mul acc p) rest)
-            in
-            Option.map (Q.mul p_ground) (product Q.one comps)
-        end
-      end
-    in
-    lift q.atoms
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Unions of conjunctive queries                                       *)
@@ -304,32 +228,3 @@ let dedupe_ucq ucq =
         true
       end)
     ucq
-
-let lifted_ucq_probability ti ucq =
-  let ucq = dedupe_ucq ucq in
-  let k = List.length ucq in
-  if k = 0 then Some Q.zero
-  else if k > max_union_terms then None
-  else begin
-    let cqs = Array.of_list ucq in
-    let rec over_masks mask acc =
-      if mask = 1 lsl k then Some acc
-      else begin
-        let sel = List.filter_map (fun i -> if mask land (1 lsl i) <> 0 then Some cqs.(i) else None)
-            (List.init k Fun.id)
-        in
-        let conj = normalize_closed_cq (conjoin_cqs sel) in
-        match lifted_cq_probability ti conj with
-        | None -> None
-        | Some p ->
-          let odd = ref false in
-          let m = ref mask in
-          while !m <> 0 do
-            if !m land 1 = 1 then odd := not !odd;
-            m := !m lsr 1
-          done;
-          over_masks (mask + 1) (if !odd then Q.add acc p else Q.sub acc p)
-      end
-    in
-    over_masks 1 Q.zero
-  end

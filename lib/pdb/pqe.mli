@@ -1,4 +1,5 @@
-(** Probabilistic query evaluation (PQE) on tuple-independent PDBs.
+(** Boolean conjunctive queries and their unions over tuple-independent
+    PDBs: syntax, normalisation and the enumeration oracle.
 
     The paper situates itself against the PQE literature (Dalvi–Suciu
     dichotomy [17]): computing the probability that a Boolean query holds on
@@ -6,17 +7,18 @@
     conjunctive queries, via an extensional ("lifted") plan, and #P-hard
     otherwise. This module provides:
 
+    - the CQ/UCQ syntax, with recognisers from FO sentences;
+    - the syntactic safety tests {!is_self_join_free} and
+      {!is_hierarchical} (what [ipdb check] prints);
+    - the normalisation that inclusion–exclusion needs: capture-free
+      conjunction ({!conjoin_cqs}), duplicate-component removal
+      ({!normalize_closed_cq}) and union deduplication ({!dedupe_ucq});
     - {!boolean_probability_exact} — intensional evaluation by world
-      enumeration (any FO sentence; exponential, gated);
-    - {!lifted_cq_probability} — the extensional algorithm for
-      self-join-free Boolean CQs: independent-join on connected components,
-      independent-project on a root variable, ground-atom lookup. Returns
-      [None] exactly when the query is unsafe for these rules (not
-      hierarchical after decomposition), in which case the caller falls back
-      to enumeration.
+      enumeration (any FO sentence; exponential, gated), the oracle every
+      other evaluator is tested against.
 
-    Both return exact rationals; they agree wherever both apply
-    (property-tested). *)
+    The lifted plan itself lives in [Ipdb_kb.Lifted], which evaluates
+    these UCQs against an indexed fact store. *)
 
 type cq_atom = { rel : string; args : Ipdb_logic.Fo.term list }
 
@@ -39,13 +41,9 @@ val boolean_probability_exact : Ti.Finite.t -> Ipdb_logic.Fo.t -> Ipdb_bignum.Q.
 (** [Pr_{I∼TI}(I ⊨ φ)] by exhaustive world enumeration.
     @raise Invalid_argument past the {!Worlds} gate. *)
 
-val lifted_cq_probability : Ti.Finite.t -> cq -> Ipdb_bignum.Q.t option
-(** The extensional plan, grounding quantifiers over the TI-PDB's active
-    domain (plus the query's constants). [None] when no safe rule applies. *)
-
 (** {1 Unions of conjunctive queries}
 
-    A UCQ [Q₁ ∨ … ∨ Qₙ] is evaluated by inclusion–exclusion: the sum
+    [Ipdb_kb.Lifted] evaluates a UCQ [Q₁ ∨ … ∨ Qₙ] by inclusion–exclusion: the sum
     over nonempty subsets S of the union terms of [(−1)^(#S+1) · Pr(⋀ S)],
     where each conjunction is a CQ with bound variables renamed apart. Conjunctions
     of overlapping union terms produce isomorphic duplicate components;
@@ -81,7 +79,3 @@ val canon_cq : cq -> string
 
 val dedupe_ucq : ucq -> ucq
 (** Drop union terms whose normalised canonical form repeats. *)
-
-val lifted_ucq_probability : Ti.Finite.t -> ucq -> Ipdb_bignum.Q.t option
-(** Inclusion–exclusion over {!lifted_cq_probability}. [None] when any
-    conjunction is unsafe or the union exceeds {!max_union_terms}. *)

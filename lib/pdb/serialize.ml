@@ -234,23 +234,5 @@ let canonical_key ~op params =
        (Atom "req" :: Atom op
        :: List.map (fun (k, v) -> List [ Atom k; Atom ("\"" ^ escape v ^ "\"") ]) params))
 
-let io_result ~path f =
-  match Ipdb_run.Faultinj.fire Ipdb_run.Faultinj.Io; f () with
-  | v -> Ok v
-  | exception Sys_error msg -> Error (Ipdb_run.Error.Io { path; msg })
-  | exception End_of_file -> Error (Ipdb_run.Error.Io { path; msg = "unexpected end of file" })
-  | exception Ipdb_run.Faultinj.Injected site ->
-    Error (Ipdb_run.Error.Injected_fault { site = Ipdb_run.Faultinj.site_name site })
-
-let save text ~path =
-  io_result ~path (fun () ->
-      let oc = open_out path in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-          output_string oc text;
-          output_char oc '\n'))
-
 let load ~path =
-  io_result ~path (fun () ->
-      let ic = open_in path in
-      Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-          really_input_string ic (in_channel_length ic)))
+  Result.map_error (fun msg -> Ipdb_run.Error.Io { path; msg }) (Ioutil.read_file path)

@@ -36,11 +36,8 @@ val canonical_key : op:string -> (string * string) list -> string
     Parameters that do not change the answer (budgets, deadlines) must be
     left out by the caller. *)
 
-val save : string -> path:string -> (unit, Ipdb_run.Error.t) result
-(** Write serialised text to a file. I/O trouble (and armed
-    {!Ipdb_run.Faultinj.Io} faults) comes back as a typed [Error], never an
-    exception. *)
-
 val load : path:string -> (string, Ipdb_run.Error.t) result
-(** Read a file's contents. Missing or unreadable files yield
-    [Error (Io _)]; nothing raises. *)
+(** Read a file's contents through the ambient {!Ipdb_env.Env} (via
+    [Ioutil.read_file]), so the simulated backend can fault it. A missing
+    or unreadable file yields [Error (Io _)]; nothing raises. There is no
+    writer: [ipdb export] prints the text to stdout. *)

@@ -2,9 +2,12 @@
     the operating system.
 
     Every file operation performed by [Ioutil], [Journal], [Checkpoint],
-    the trace sink ([lib/obs/sink.ml]) and the serve verdict cache
-    ([lib/serve/cache.ml], via [Checkpoint]) goes through one of these
-    records instead of calling [Unix] directly. Two backends exist:
+    the trace sink ([lib/obs/sink.ml]), the serve verdict cache
+    ([lib/serve/cache.ml], via [Checkpoint]), the [ipdbkb1] reader and
+    writer ([lib/kb/kbfile.ml]) and the [.ti] reader
+    ([Serialize.load], via [Ioutil]) goes through one of these records
+    instead of calling [Unix] directly; [test/env_seam.sh] keeps it that
+    way. Two backends exist:
 
     - {!unix}, the default, delegating straight to [Unix] (with advisory
       locking via [lockf]); and

@@ -1,11 +1,10 @@
-type site = Term_eval | Sampling | Io | Certificate | Serve_worker
+type site = Term_eval | Sampling | Certificate | Serve_worker
 
 exception Injected of site
 
 let site_name = function
   | Term_eval -> "term-eval"
   | Sampling -> "sampling"
-  | Io -> "io"
   | Certificate -> "certificate"
   | Serve_worker -> "serve-worker"
 

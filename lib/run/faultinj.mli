@@ -5,8 +5,12 @@
     pseudo-randomly (deterministically, from the seed); the surrounding
     recovery boundary must convert it into a typed {!Error.t} rather than
     letting it escape. Tests arm a site, drive the API, and assert the
-    typed error surfaces — demonstrating that I/O failures, term-evaluation
-    failures and certificate failures degrade gracefully.
+    typed error surfaces — demonstrating that term-evaluation, sampling,
+    certificate and serve-worker failures degrade gracefully.
+
+    File I/O has no site here: every file goes through
+    {!Ipdb_env.Env}, and the simulated backend ({!Ipdb_env.Simenv})
+    injects its faults — errnos, short and torn writes, power cuts.
 
     State is global to the process and meant for single-threaded test
     harnesses; always {!disarm} when done. *)
@@ -14,7 +18,6 @@
 type site =
   | Term_eval  (** series term evaluation *)
   | Sampling  (** possible-world sampling *)
-  | Io  (** serializer file I/O *)
   | Certificate  (** certificate validation *)
   | Serve_worker  (** serve-daemon request handling (crash / slow-worker drives) *)
 

@@ -3,7 +3,9 @@
     One home for the low-level habits every persistent artifact in the
     system relies on — the journal ([lib/run/journal.ml]), the trace sink
     ([lib/obs/sink.ml]), checkpoint files ([lib/run/checkpoint.ml]) and the
-    serve verdict cache ([lib/serve/cache.ml]) all write through here:
+    serve verdict cache ([lib/serve/cache.ml]) all write through here, and
+    the [.ti] reader behind [ipdb import] ([Serialize.load]) reads
+    through {!read_file}:
 
     - {b EINTR-safe transfer loops}: a signal landing mid-[write(2)]
       (SIGTERM during drain, SIGCHLD from a test harness) must never tear

@@ -196,6 +196,24 @@ golden "$(printf '%s\n' \
   'P(Q1)*P(Q2) = 66049/69696' \
   'independent: false')" "kb-dep"
 
+# ------------------------------------------- export / import
+# A missing file and a directory are one-line E_IO diagnostics (exit 2)
+# naming the path once; an exported TI-PDB imports back to its moments.
+run 2 "import-missing" "$IPDB" import /nonexistent-ipdb-dir/x.ti
+printf 'ipdb: E_IO: I/O failure on /nonexistent-ipdb-dir/x.ti: No such file or directory\n' > "$TMP/want"
+cmp -s "$TMP/err" "$TMP/want" || fail "import-missing: diagnostic drifted: $(cat "$TMP/err")"
+mkdir "$TMP/dir.ti"
+run 2 "import-dir" "$IPDB" import "$TMP/dir.ti"
+printf 'ipdb: E_IO: I/O failure on %s: Is a directory\n' "$TMP/dir.ti" > "$TMP/want"
+cmp -s "$TMP/err" "$TMP/want" || fail "import-dir: diagnostic drifted: $(cat "$TMP/err")"
+run 0 "export" "$IPDB" export example-b3
+cp "$TMP/out" "$TMP/b3.ti"
+run 0 "import-roundtrip" "$IPDB" import "$TMP/b3.ti"
+golden "$(printf '%s\n' \
+  'tuple-independent PDB: 2 facts' \
+  '  E|D|  = 5/6 (= Σ marginals)' \
+  '  Var|D| = 17/36')" "import-roundtrip"
+
 # ------------------------------------------- CLI --trace and --metrics
 run 0 "cli-trace" "$IPDB" criterion geometric --upto 2000 --trace "$TMP/c.jsonl" --metrics
 [ -s "$TMP/c.jsonl" ] || fail "cli-trace: empty trace"

@@ -15,11 +15,20 @@ module Ti = Ipdb_pdb.Ti
 module Estimate = Ipdb_pdb.Estimate
 module Pqe = Ipdb_pdb.Pqe
 module Zoo = Ipdb_core.Zoo
+module Store = Ipdb_kb.Store
+module Lifted = Ipdb_kb.Lifted
 
 let vi n = Value.Int n
 let fact r args = Fact.make r (List.map vi args)
 let inst facts = Instance.of_list facts
 let q = Alcotest.testable Q.pp Q.equal
+
+(* The lifted plan of Ipdb_kb.Lifted over a TI-PDB's facts; [None] when
+   the query has no safe plan. *)
+let lifted ti cq =
+  match Lifted.ucq_probability (Store.of_ti ti) [ cq ] with
+  | Ok r -> r
+  | Error e -> Alcotest.fail (Ipdb_run.Error.to_string e)
 
 let estimate_exn = function
   | Ok e -> e
@@ -174,14 +183,14 @@ let test_hierarchical_detection () =
         (Schema.make [ ("R", 1); ("S", 2); ("T", 1) ])
         [ (fact "R" [ 1 ], Q.half); (fact "S" [ 1; 2 ], Q.half); (fact "T" [ 2 ], Q.half) ]
     in
-    Alcotest.(check bool) "lifted refuses H0" true (Pqe.lifted_cq_probability ti cq = None)
+    Alcotest.(check bool) "lifted refuses H0" true (lifted ti cq = None)
   | None -> Alcotest.fail "H0 should parse"
 
 let test_lifted_simple () =
   (* q = ∃x R(x): P = 1 - (1-p1)(1-p2) *)
   let ti = Ti.Finite.make (Schema.make [ ("R", 1) ]) [ (fact "R" [ 1 ], Q.of_ints 1 3); (fact "R" [ 2 ], Q.of_ints 1 4) ] in
   let cq = Option.get (Pqe.cq_of_formula (Fo.Exists ("x", Fo.atom "R" [ Fo.v "x" ]))) in
-  match Pqe.lifted_cq_probability ti cq with
+  match lifted ti cq with
   | Some p ->
     Alcotest.(check q) "1-(2/3)(3/4)" Q.half p;
     Alcotest.(check q) "agrees with enumeration" (Pqe.boolean_probability_exact ti (Pqe.cq_to_formula cq)) p
@@ -205,7 +214,7 @@ let test_lifted_join () =
          (Fo.exists_many [ "x"; "y" ] (Fo.And (Fo.atom "R" [ Fo.v "x"; Fo.v "y" ], Fo.atom "S" [ Fo.v "x" ]))))
   in
   Alcotest.(check bool) "hierarchical" true (Pqe.is_hierarchical cq);
-  match Pqe.lifted_cq_probability ti cq with
+  match lifted ti cq with
   | Some p ->
     Alcotest.(check q) "lifted = enumeration" (Pqe.boolean_probability_exact ti (Pqe.cq_to_formula cq)) p
   | None -> Alcotest.fail "hierarchical query refused"
@@ -217,12 +226,12 @@ let test_lifted_ground_and_constants () =
   in
   (* ground conjunction *)
   let cq = Option.get (Pqe.cq_of_formula (Fo.And (Fo.atom "R" [ Fo.ci 1; Fo.ci 2 ], Fo.atom "S" [ Fo.ci 7 ]))) in
-  (match Pqe.lifted_cq_probability ti cq with
+  (match lifted ti cq with
   | Some p -> Alcotest.(check q) "product of marginals" (Q.of_ints 1 6) p
   | None -> Alcotest.fail "ground query refused");
   (* constant inside a quantified atom *)
   let cq2 = Option.get (Pqe.cq_of_formula (Fo.Exists ("y", Fo.atom "R" [ Fo.ci 1; Fo.v "y" ]))) in
-  match Pqe.lifted_cq_probability ti cq2 with
+  match lifted ti cq2 with
   | Some p -> Alcotest.(check q) "constant arg" Q.half p
   | None -> Alcotest.fail "refused"
 
@@ -264,7 +273,7 @@ let lifted_vs_enumeration =
     (QCheck.Test.make ~count:200 ~name:"lifted PQE = enumeration on hierarchical queries" arb_ti_and_query
        (fun (ti, phi) ->
          let cq = Option.get (Pqe.cq_of_formula phi) in
-         match Pqe.lifted_cq_probability ti cq with
+         match lifted ti cq with
          | Some p -> Q.equal p (Pqe.boolean_probability_exact ti phi)
          | None -> false))
 

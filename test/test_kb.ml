@@ -1,9 +1,11 @@
 (* The kb subsystem (lib/kb): columnar store invariants, the ipdbkb1 file
    format, and — the heart of it — agreement of the lifted UCQ engine with
-   brute-force world enumeration on every sub-gate instance, plus the
-   metamorphic guarantees (union reordering and bound-variable renaming
-   leave the exact marginal bit-identical, and parallel evaluation matches
-   the serial run step for step). *)
+   brute-force world enumeration on every sub-gate instance (and an answer
+   for every union that is safe as whole CQs), plus the metamorphic
+   guarantees (union reordering and bound-variable renaming leave the
+   exact marginal bit-identical, and parallel evaluation matches the
+   serial run step for step) and the coverage of the Monte-Carlo
+   fallback's intervals. *)
 
 module Q = Ipdb_bignum.Q
 module Value = Ipdb_relational.Value
@@ -28,16 +30,6 @@ let fail fmt = Printf.ksprintf QCheck.Test.fail_report fmt
 (* ------------------------------------------------------------------ *)
 
 let schema = Schema.make [ ("R", 2); ("S", 2); ("T", 1) ]
-
-let store_of_ti ti =
-  let store = Store.create (Schema.relations (Ti.Finite.schema ti)) in
-  List.iter
-    (fun (f, p) ->
-      match Store.add store ~rel:(Fact.rel f) (Array.of_list (Fact.args f)) p with
-      | Ok () -> ()
-      | Error m -> failwith ("store_of_ti: " ^ m))
-    (Ti.Finite.facts ti);
-  store
 
 let q_str = Q.to_string
 
@@ -80,7 +72,7 @@ let arb_kb_case =
       let* ucq = QCheck.gen arb_ucq in
       return { seed; facts; ucq })
 
-let instance_of c = store_of_ti (Generate.ti (Generate.rng c.seed) ~schema ~facts:c.facts ~universe:3)
+let instance_of c = Store.of_ti (Generate.ti (Generate.rng c.seed) ~schema ~facts:c.facts ~universe:3)
 
 let ti_of c = Generate.ti (Generate.rng c.seed) ~schema ~facts:c.facts ~universe:3
 
@@ -88,21 +80,33 @@ let ti_of c = Generate.ti (Generate.rng c.seed) ~schema ~facts:c.facts ~universe
 (* Agreement: lifted UCQ = enumeration on every safe instance          *)
 (* ------------------------------------------------------------------ *)
 
+(* The classical whole-CQ safety condition: at most [max_union_terms]
+   deduplicated union terms, and every normalised inclusion–exclusion
+   conjunction self-join-free and hierarchical as a whole. *)
+let safe_as_whole_cqs ucq =
+  let terms = Pqe.dedupe_ucq ucq in
+  let k = List.length terms in
+  k <= Pqe.max_union_terms
+  && List.for_all
+       (fun mask ->
+         let sel = List.filteri (fun i _ -> mask land (1 lsl i) <> 0) terms in
+         let q = Pqe.normalize_closed_cq (Pqe.conjoin_cqs sel) in
+         Pqe.is_self_join_free q && Pqe.is_hierarchical q)
+       (List.init ((1 lsl k) - 1) succ)
+
 let lifted_agrees_with_enumeration c =
   let ti = ti_of c in
-  let store = store_of_ti ti in
+  let store = Store.of_ti ti in
   let exact = Pqe.boolean_probability_exact ti (Pqe.ucq_to_formula c.ucq) in
   match Lifted.ucq_probability store c.ucq with
   | Error e -> fail "lifted errored: %s" (Error.message e)
   | Ok (Some p) ->
       if Q.equal p exact then true
       else fail "lifted %s <> enumeration %s" (q_str p) (q_str exact)
-  | Ok None -> (
-      (* The kb safety check is strictly more permissive than Pqe's
-         whole-CQ one: anything Pqe lifts, the kb engine must lift too. *)
-      match Pqe.lifted_ucq_probability ti c.ucq with
-      | None -> true
-      | Some q -> fail "kb engine refused a query Pqe lifts (p=%s)" (q_str q))
+  | Ok None ->
+      (* The kb safety check is per conjunction and more permissive than
+         the whole-CQ one: whatever that admits, the engine must answer. *)
+      (not (safe_as_whole_cqs c.ucq)) || fail "kb engine refused a union whose conjunctions are all safe"
 
 (* ------------------------------------------------------------------ *)
 (* Metamorphic: reordering and renaming leave the marginal bit-identical *)
@@ -145,7 +149,7 @@ let test_parallel_matches_serial () =
   let n = Lifted.par_threshold + 500 in
   let sch = Schema.make [ ("T", 1) ] in
   let ti = Generate.ti (Generate.rng 11) ~schema:sch ~facts:n ~universe:(4 * n) in
-  let store = store_of_ti ti in
+  let store = Store.of_ti ti in
   let phi = Fo.Exists ("x", Fo.Atom ("T", [ Fo.V "x" ])) in
   let pool = Pool.create ~jobs:3 () in
   Fun.protect
@@ -192,7 +196,7 @@ let rows_where ti rel pred =
    and every folded row costs one step. *)
 let leaf_rule_agrees c =
   let ti = ti_of c in
-  let store = store_of_ti ti in
+  let store = Store.of_ti ti in
   List.for_all (agrees ti store)
     [
       "exists x. R(x,x)";
@@ -212,7 +216,7 @@ let leaf_rule_agrees c =
    enumeration, and each distinct component is charged once per query. *)
 let shared_components_agree c =
   let ti = ti_of c in
-  let store = store_of_ti ti in
+  let store = Store.of_ti ti in
   let a = "exists x. T(x)" and b = "exists x y. S(x,y)" in
   let qq = "(exists x y. S(x,y)) | (exists u v. S(u,v))" in
   let absorb = "(exists x. T(x)) | ((exists x. T(x)) & (exists x y. S(x,y)))" in
@@ -249,14 +253,14 @@ let test_lazy_unsafe () =
   in
   let text = "exists x y z. (U(x,y,z) & R(x,y) & S(x,z))" in
   let ti = Ti.Finite.make (Schema.make relations) facts in
-  (match Lifted.query (store_of_ti ti) (parse text) with
+  (match Lifted.query (Store.of_ti ti) (parse text) with
   | Ok (Lifted.Exact p) ->
       Alcotest.(check string) "exact zero" "0" (q_str p);
       Alcotest.(check bool) "matches enumeration" true (Q.equal p (Pqe.boolean_probability_exact ti (parse text)))
   | Ok (Lifted.Estimated _) -> Alcotest.fail "estimated"
   | Error e -> Alcotest.fail (Error.message e));
   let u = (Fact.make "U" [ Value.int 0; Value.int 1; Value.int 2 ], Q.of_ints 1 2) in
-  match Lifted.query (store_of_ti (Ti.Finite.make (Schema.make relations) (u :: facts))) (parse text) with
+  match Lifted.query (Store.of_ti (Ti.Finite.make (Schema.make relations) (u :: facts))) (parse text) with
   | Error (Error.Validation { msg; _ }) ->
       Alcotest.(check bool) "the sub-plan is refused once reached" true (contains msg "no root variable")
   | _ -> Alcotest.fail "a reachable unsafe sub-plan must be refused"
@@ -294,6 +298,76 @@ let test_leaf_jobs_invariance () =
       Alcotest.(check string) "certain row" "1" (q_str (fst (exact_steps store "exists x. T(x)")));
       Alcotest.(check string) "lone certain row" "1" (q_str (fst (exact_steps store "exists x. U(x)"))))
     [ Lifted.par_threshold - 1; Lifted.par_threshold; Lifted.par_threshold + 1 ]
+
+(* ucq_probability runs query's schema check: an unknown relation or a
+   wrong argument count is a Validation error with query's message, never
+   an answer read from the wrong columns or an out-of-bounds index. *)
+let test_ucq_schema_check () =
+  let r a b p = (Fact.make "R" [ Value.int a; Value.int b ], p) in
+  let ti = Ti.Finite.make (Schema.make [ ("R", 2) ]) [ r 1 2 (Q.of_ints 1 2); r 2 3 (Q.of_ints 1 3) ] in
+  let store = Store.of_ti ti in
+  List.iter
+    (fun (text, want) ->
+      let phi = parse text in
+      (match Lifted.query store phi with
+      | Error (Error.Validation { msg; _ }) -> Alcotest.(check string) (text ^ ": query") want msg
+      | _ -> Alcotest.failf "%s: query accepted it" text);
+      match Lifted.ucq_probability store (Option.get (Pqe.ucq_of_formula phi)) with
+      | Error (Error.Validation { msg; _ }) -> Alcotest.(check string) (text ^ ": ucq_probability") want msg
+      | Ok (Some p) -> Alcotest.failf "%s: answered %s" text (q_str p)
+      | Ok None -> Alcotest.failf "%s: refused as unsafe" text
+      | Error e -> Alcotest.failf "%s: %s" text (Error.message e)
+      | exception e -> Alcotest.failf "%s: raised %s" text (Printexc.to_string e))
+    [
+      ("exists x. R(x)", "relation R has arity 2, used with 1 arguments");
+      ("exists x y z. R(x,y,z)", "relation R has arity 2, used with 3 arguments");
+      ("R(1,2,3)", "relation R has arity 2, used with 3 arguments");
+      ("exists x. U(x)", "unknown relation U");
+    ]
+
+(* Smallest [m] with [P(X > m) <= alpha] for [X ~ Binomial(n, p)]. *)
+let binomial_quantile ~n ~p ~alpha =
+  let pmf = ref ((1. -. p) ** float_of_int n) in
+  let cdf = ref !pmf and m = ref 0 in
+  while 1. -. !cdf > alpha do
+    pmf := !pmf *. float_of_int (n - !m) /. float_of_int (!m + 1) *. p /. (1. -. p);
+    incr m;
+    cdf := !cdf +. !pmf
+  done;
+  !m
+
+(* The Monte-Carlo fallback's Hoeffding interval covers the enumerated
+   probability. Each interval misses with probability at most δ, and the
+   seeded runs are independent, so the misses are dominated by
+   Binomial(trials, δ): the test allows the count that binomial exceeds
+   with probability at most 10⁻⁶. The seeds are fixed, so the verdict is
+   deterministic. *)
+let test_mc_coverage () =
+  let delta = 0.05 in
+  let queries =
+    [ "exists x y. (R(x,y) & R(y,x))"; "exists x y z. (T(x) & S(x,y) & R(y,z))"; "exists x y. (T(x) & R(x,y) & T(y))" ]
+  in
+  let trials = ref 0 and covered = ref 0 in
+  for seed = 1 to 100 do
+    let ti = Generate.ti (Generate.rng seed) ~schema ~facts:8 ~universe:3 in
+    let store = Store.of_ti ti in
+    List.iter
+      (fun text ->
+        let phi = parse text in
+        match Lifted.query ~mc:{ Lifted.samples = 200; seed; delta } store phi with
+        | Ok (Lifted.Estimated e) ->
+            incr trials;
+            let exact = Q.to_float (Pqe.boolean_probability_exact ti phi) in
+            if Ipdb_series.Interval.contains (Ipdb_pdb.Estimate.interval e) exact then incr covered
+        | Ok (Lifted.Exact _) -> Alcotest.failf "%s: an unsafe query got an exact plan" text
+        | Error e -> Alcotest.failf "%s: %s" text (Error.message e))
+      queries
+  done;
+  let allowed = binomial_quantile ~n:!trials ~p:delta ~alpha:1e-6 in
+  Alcotest.(check int) "every query sampled" 300 !trials;
+  if !trials - !covered > allowed then
+    Alcotest.failf "%d of %d intervals miss the exact probability; at confidence %.2f at most %d may"
+      (!trials - !covered) !trials (1. -. delta) allowed
 
 (* ------------------------------------------------------------------ *)
 (* Store unit tests                                                    *)
@@ -766,6 +840,8 @@ let () =
           prop ~count:150 "shared components: enumeration, each charged once" arb_kb_case shared_components_agree;
           Alcotest.test_case "no candidates: an unsafe sub-plan is never reached" `Quick test_lazy_unsafe;
           Alcotest.test_case "leaf folds at par_threshold±1: jobs 1/2/3 identical" `Quick test_leaf_jobs_invariance;
+          Alcotest.test_case "ucq_probability checks the schema like query" `Quick test_ucq_schema_check;
+          Alcotest.test_case "Monte-Carlo intervals cover the exact probability" `Quick test_mc_coverage;
         ] );
       ( "store",
         [

@@ -99,7 +99,9 @@ let test_h0_intensional () =
       (Fo.conj [ Fo.atom "R" [ Fo.v "x" ]; Fo.atom "S" [ Fo.v "x"; Fo.v "y" ]; Fo.atom "T" [ Fo.v "y" ] ])
   in
   (match Pqe.cq_of_formula h0 with
-  | Some cq -> Alcotest.(check bool) "lifted refuses" true (Pqe.lifted_cq_probability ti cq = None)
+  | Some cq ->
+    Alcotest.(check bool) "lifted refuses" true
+      (Ipdb_kb.Lifted.ucq_probability (Ipdb_kb.Store.of_ti ti) [ cq ] = Ok None)
   | None -> Alcotest.fail "parse");
   let l = Lineage.of_sentence ti h0 in
   Alcotest.(check q) "lineage = enumeration" (reference_probability ti h0) (Lineage.probability ti l)

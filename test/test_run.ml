@@ -13,6 +13,8 @@ module Fact = Ipdb_relational.Fact
 module Value = Ipdb_relational.Value
 module Ti = Ipdb_pdb.Ti
 module Serialize = Ipdb_pdb.Serialize
+module Env = Ipdb_env.Env
+module Simenv = Ipdb_env.Simenv
 module Criteria = Ipdb_core.Criteria
 module Classifier = Ipdb_core.Classifier
 module Zoo = Ipdb_core.Zoo
@@ -32,7 +34,7 @@ let test_error_codes () =
       (Run_error.Io { path = "/p"; msg = "m" }, "E_IO", 2);
       ( Run_error.Exhausted { what = "sum"; reason = Run_error.Steps { used = 3; limit = 2 } },
         "E_BUDGET", 3 );
-      (Run_error.Injected_fault { site = "io" }, "E_FAULT", 4);
+      (Run_error.Injected_fault { site = "sampling" }, "E_FAULT", 4);
       (Run_error.Internal { msg = "m" }, "E_INTERNAL", 4)
     ]
   in
@@ -223,18 +225,38 @@ let test_fault_sampling () =
   | Error e -> Alcotest.failf "wrong error: %s" (Run_error.to_string e)
   | Ok _ -> Alcotest.fail "armed Sampling fault did not surface"
 
+(* Serialize.load reads through Env, so the simulated backend reaches it:
+   an EIO at any operation of the read comes back as a typed Io error,
+   never an exception. Only an EIO at the final close is ignored, and
+   then the text read is complete. *)
 let test_fault_io () =
-  let path = Filename.temp_file "ipdb_faultinj" ".sexp" in
-  Fun.protect ~finally:(fun () -> if Sys.file_exists path then Sys.remove path) @@ fun () ->
-  (with_faults [ Faultinj.Io ] @@ fun () ->
-   match Serialize.load ~path with
-   | Error (Run_error.Injected_fault { site }) -> Alcotest.(check string) "site" "io" site
-   | Error e -> Alcotest.failf "wrong error: %s" (Run_error.to_string e)
-   | Ok _ -> Alcotest.fail "armed Io fault did not surface");
-  (* disarmed, the same load succeeds: the fault was injected, not real *)
-  match Serialize.load ~path with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "load after disarm: %s" (Run_error.to_string e)
+  let path = "pdb.ti" in
+  let text = "(ti (schema (R 1)) ((R 1) 1/2))" in
+  let sim = Simenv.create () in
+  Env.with_env (Simenv.env sim) @@ fun () ->
+  Ioutil.atomic_replace ~path text;
+  let load plan =
+    Simenv.set_plan sim plan;
+    Simenv.reset_ops sim;
+    match Serialize.load ~path with
+    | r -> r
+    | exception e -> Alcotest.failf "load raised %s" (Printexc.to_string e)
+  in
+  Alcotest.(check (result string reject)) "quiet read" (Ok text) (load Simenv.quiet);
+  let ops = Simenv.op_log sim in
+  let kinds = List.map (fun (op : Simenv.op) -> op.kind) ops in
+  Alcotest.(check bool) "the read opens and reads" true (List.mem Simenv.Open kinds && List.mem Simenv.Read kinds);
+  List.iter
+    (fun (op : Simenv.op) ->
+      let where = Simenv.op_kind_name op.kind in
+      match load { Simenv.faults = [ Simenv.Err { at = op.index; errno = Unix.EIO } ]; agitate = None } with
+      | Error (Run_error.Io { path = p; msg }) ->
+        Alcotest.(check string) (where ^ ": path") path p;
+        Alcotest.(check string) (where ^ ": msg") (Unix.error_message Unix.EIO) msg
+      | Ok t when op.kind = Simenv.Close -> Alcotest.(check string) "close fault after a full read" text t
+      | Ok _ -> Alcotest.failf "EIO at %s was not reported" where
+      | Error e -> Alcotest.failf "EIO at %s: wrong error %s" where (Run_error.to_string e))
+    ops
 
 let test_fault_certificate () =
   with_faults [ Faultinj.Certificate ] @@ fun () ->
@@ -245,8 +267,8 @@ let test_fault_certificate () =
 
 let test_fault_seeded_deterministic () =
   let run () =
-    with_faults ~seed:42 ~rate:0.3 [ Faultinj.Io ] @@ fun () ->
-    List.init 200 (fun _ -> Result.is_error (Faultinj.protect (fun () -> Faultinj.fire Faultinj.Io)))
+    with_faults ~seed:42 ~rate:0.3 [ Faultinj.Sampling ] @@ fun () ->
+    List.init 200 (fun _ -> Result.is_error (Faultinj.protect (fun () -> Faultinj.fire Faultinj.Sampling)))
   in
   let a = run () and b = run () in
   Alcotest.(check bool) "same seed, same failure pattern" true (a = b);
@@ -257,7 +279,7 @@ let test_disarmed_is_inert () =
   Faultinj.disarm ();
   Alcotest.(check bool) "not armed" false (Faultinj.armed Faultinj.Term_eval);
   (* fire at every site: must be a no-op *)
-  List.iter Faultinj.fire [ Faultinj.Term_eval; Faultinj.Sampling; Faultinj.Io; Faultinj.Certificate ]
+  List.iter Faultinj.fire [ Faultinj.Term_eval; Faultinj.Sampling; Faultinj.Certificate; Faultinj.Serve_worker ]
 
 (* ------------------------------------------------------------------ *)
 (* Budgets through the verdict stack                                   *)

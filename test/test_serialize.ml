@@ -55,9 +55,7 @@ let test_file_roundtrip () =
       ]
   in
   let path = Filename.temp_file "ipdb" ".pdb" in
-  (match Serialize.save (Serialize.pdb_to_string d) ~path with
-  | Ok () -> ()
-  | Error e -> Alcotest.fail (Ipdb_run.Error.to_string e));
+  Ioutil.atomic_replace ~path (Serialize.pdb_to_string d);
   let text =
     match Serialize.load ~path with
     | Ok text -> text
