@@ -42,11 +42,6 @@ module Tail : sig
       [n] is at or past the certificate's index.
       @raise Invalid_argument when [n] precedes the certificate's index. *)
 
-  val validate : t -> term -> from_index:int -> upto:int -> (unit, string) result
-  (** Checks that every computed term in [from_index..upto] obeys the
-      certificate's pointwise hypothesis (with 4 ulps of slack) and that the
-      certificate's parameters are in range. *)
-
   val pp : Format.formatter -> t -> unit
 end
 

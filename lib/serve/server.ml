@@ -650,13 +650,27 @@ let start_replica (t : t) conn ~proto ~cachefmt ~pos ~epoch =
           Ok ()
         end
 
+(* A connection leaves [in_flight] before anything is written back to
+   it, once, on every path: a client that reads its reply and reconnects
+   at once must find its old connection already counted out, or admission
+   counts it twice and puts the new one on the degraded rung. *)
+let count_out (t : t) =
+  Atomic.decr t.in_flight;
+  set_queue_gauge t
+
 let handle (t : t) conn ~degraded =
   let t0 = Trace.now () in
   let taken = ref false in
+  let counted = ref false in
+  let count_out_once () =
+    if not !counted then begin
+      counted := true;
+      count_out t
+    end
+  in
   let finally () =
+    count_out_once ();
     if not !taken then (try Unix.close conn with _ -> ());
-    Atomic.decr t.in_flight;
-    set_queue_gauge t;
     Metrics.observe m_latency_ms ((Trace.now () -. t0) *. 1e3)
   in
   Fun.protect ~finally @@ fun () ->
@@ -667,28 +681,34 @@ let handle (t : t) conn ~degraded =
     Atomic.incr t.n_served;
     Metrics.incr m_served
   in
+  let reply resp =
+    count_out_once ();
+    if respond conn resp then served ()
+  in
   match Protocol.read_frame conn with
   | Error msg ->
       Metrics.incr m_proto_errors;
       Trace.annotate [ ("status", Json.String "E_PROTO") ];
-      if respond conn { status = Proto; body = msg } then served ()
+      reply { status = Proto; body = msg }
   | Ok payload -> (
       match Protocol.parse_request payload with
       (* Connection-level ops are intercepted before the evaluation
          pipeline: a successful repl handshake hands the socket to a
-         streamer domain for the rest of its life. *)
+         streamer domain for the rest of its life, and the streamer's
+         hello is its reply. *)
       | Ok (Repl { proto; cachefmt; package = _; pos; epoch }, _) -> (
+          count_out_once ();
           match start_replica t conn ~proto ~cachefmt ~pos ~epoch with
           | Ok () ->
               taken := true;
               served ()
           | Error resp ->
               Trace.annotate [ ("status", Json.String (Protocol.status_token resp.status)) ];
-              if respond conn resp then served ())
+              reply resp)
       | Ok (Promote, _) ->
           let resp = promote t in
           Trace.annotate [ ("status", Json.String (Protocol.status_token resp.status)) ];
-          if respond conn resp then served ()
+          reply resp
       | parsed ->
           let resp =
             match parsed with
@@ -704,16 +724,17 @@ let handle (t : t) conn ~degraded =
                 | Error e -> { status = status_of_run_error e; body = Run_error.to_string e })
           in
           Trace.annotate [ ("status", Json.String (Protocol.status_token resp.status)) ];
-          if respond conn resp then served ())
+          reply resp)
 
-(* Shed an over-capacity connection: structured E_BUSY, then a short
-   drain-read so the rejection survives the close (an unread request in
-   the receive buffer would otherwise turn the close into a reset that
-   races our response). *)
+(* Shed an over-capacity connection: counted out first (as in [handle]),
+   then a structured E_BUSY, then a short drain-read so the rejection
+   survives the close (an unread request in the receive buffer would
+   otherwise turn the close into a reset that races our response). *)
 let shed (t : t) conn =
   Atomic.incr t.n_shed;
   Metrics.incr m_shed;
   Trace.event "serve.shed";
+  count_out t;
   (try Unix.setsockopt_float conn Unix.SO_SNDTIMEO 1.0 with _ -> ());
   (try
      Protocol.write_frame conn
@@ -724,9 +745,7 @@ let shed (t : t) conn =
      Unix.setsockopt_float conn Unix.SO_RCVTIMEO 0.25;
      ignore (Unix.read conn (Bytes.create 4096) 0 4096)
    with _ -> ());
-  (try Unix.close conn with _ -> ());
-  Atomic.decr t.in_flight;
-  set_queue_gauge t
+  try Unix.close conn with _ -> ()
 
 let accept_loop (t : t) =
   while not (Atomic.get t.stopping) do
@@ -1139,8 +1158,9 @@ let stop ?(drain_timeout = 30.0) t =
     (match t.tail_domain with Some d -> Domain.join d | None -> ());
     t.tail_domain <- None;
     (try Unix.close t.listen_fd with _ -> ());
-    (* Drain: in-flight handlers decrement the counter as they finish;
-       Pool.shutdown then runs anything still queued before joining. *)
+    (* Drain: in-flight handlers count themselves out just before they
+       reply; Pool.shutdown then runs anything still queued and joins the
+       workers, so every reply is written before the journal closes. *)
     let deadline = Unix.gettimeofday () +. drain_timeout in
     while Atomic.get t.in_flight > 0 && Unix.gettimeofday () < deadline do
       Unix.sleepf 0.01

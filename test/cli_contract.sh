@@ -222,6 +222,23 @@ grep -q '"name": "series.sum"' "$TMP/c.jsonl" || fail "cli-trace: no series span
 # the metrics summary counts exactly the 2000 evaluated terms
 grep -qx 'metric series\.terms 2000' "$TMP/err" || fail "cli-trace: terms summary not exact"
 
+# ------------------------------------------ pool workers left parked at exit
+# The CLI does not join its pool's workers at exit: every fan-out has
+# settled by then, so the workers are idle. A pooled run over 98 chunks
+# must still print the silent run's stdout, close every span it opened,
+# end its trace on a complete line and count every pool task.
+run 0 "pool-exit silent" "$IPDB" criterion geometric --upto 200000 --jobs 2
+cp "$TMP/out" "$TMP/silent"
+run 0 "pool-exit" "$IPDB" criterion geometric --upto 200000 --jobs 2 --trace "$TMP/p.jsonl" --metrics
+cmp -s "$TMP/out" "$TMP/silent" || fail "pool-exit: --trace --metrics changed stdout: $(cat "$TMP/out")"
+[ -s "$TMP/p.jsonl" ] && [ -z "$(tail -c1 "$TMP/p.jsonl")" ] || fail "pool-exit: trace does not end on a complete line"
+span_ids() { grep "\"ev\": \"$1\"" "$TMP/p.jsonl" | sed -E 's/.*"dom": [0-9]+, "id": ([0-9]+),.*/\1/' | sort -n; }
+span_ids span_begin > "$TMP/begun"
+span_ids span_end > "$TMP/ended"
+[ "$(wc -l < "$TMP/begun")" -eq 100 ] || fail "pool-exit: expected 100 spans, got $(wc -l < "$TMP/begun")"
+cmp -s "$TMP/begun" "$TMP/ended" || fail "pool-exit: a span_begin has no matching span_end"
+grep -qx 'metric pool\.tasks 98' "$TMP/err" || fail "pool-exit: pool task count not exact"
+
 # ------------------------------------- watching does not change the output
 # A budgeted, metered or traced run prints the silent run's stdout byte
 # for byte, and its counters are exact: 200000 terms and steps, one

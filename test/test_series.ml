@@ -131,6 +131,134 @@ let test_minorant_partial () =
   let b = Series.Divergence.Bounded_below { index = 5; bound = 2.0 } in
   Alcotest.(check (float 1e-9)) "arithmetic" 12.0 (Series.Divergence.minorant_partial_sum b 10)
 
+(* ------------------------------------------------------------------ *)
+(* Series: the per-term certificate test                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The engine skips the bound for a zero term where the bound cannot be
+   NaN. The reference below never skips: it evaluates the bound for every
+   term, applies the slackened test with the slack floor computed inline,
+   and folds the terms with [Interval.add]. The engine must agree with it
+   on the enclosure bits or on the certificate error's text (which names
+   the index). *)
+let reference_bound tail n =
+  match tail with
+  | Series.Tail.Finite_support { last } -> if n > last then 0.0 else Float.infinity
+  | Geometric { index; first; ratio } -> first *. (ratio ** float_of_int (n - index))
+  | P_series { coeff; p; _ } -> coeff /. (float_of_int n ** p)
+  | Exponential { coeff; rate; _ } -> coeff *. (rate ** float_of_int n)
+
+let reference_within tail n a =
+  let b = reference_bound tail n in
+  a <= b +. ((if Float.abs b > Float.min_float then Float.abs b else Float.min_float) *. 0x1p-48)
+
+let reference_tail_bound tail n =
+  match tail with
+  | Series.Tail.Finite_support { last } -> if n > last then Some 0.0 else None
+  | _ ->
+    if n < Series.Tail.start_index tail then None
+    else
+      let b = Series.Tail.bound_from tail n in
+      if Float.is_nan b || b < 0.0 then None else Some b
+
+type outcome = Enclosure of Int64.t * Int64.t | Rejected of string
+
+let show_outcome = function
+  | Enclosure (lo, hi) -> Printf.sprintf "enclosure [%h, %h]" (Int64.float_of_bits lo) (Int64.float_of_bits hi)
+  | Rejected msg -> msg
+
+let enclosure i = Enclosure (Int64.bits_of_float (Interval.lo i), Int64.bits_of_float (Interval.hi i))
+let rejected msg = Rejected (Ipdb_run.Error.message (Ipdb_run.Error.Certificate { what = "tail certificate"; msg }))
+
+let reference_sum tail f ~start ~upto =
+  let check_from = Stdlib.max start (Series.Tail.start_index tail) in
+  let rec go n acc =
+    if n > upto then
+      match reference_tail_bound tail (upto + 1) with
+      | Some b -> enclosure (Interval.add acc (Interval.make 0.0 b))
+      | None -> rejected "no tail bound at the cutoff (finite support not exhausted?)"
+    else
+      let a = f n in
+      if n >= check_from && not (reference_within tail n a) then
+        rejected (Printf.sprintf "term %d = %g exceeds certified bound %g" n a (reference_bound tail n))
+      else go (n + 1) (Interval.add acc (Interval.point a))
+  in
+  go start Interval.zero
+
+let engine_sum tail f ~start ~upto =
+  match Series.sum_budgeted ~chunk:7 ~start f ~tail ~upto with
+  | Ok (Series.Complete e) -> enclosure e
+  | Ok (Series.Exhausted _) -> Rejected "exhausted under an unlimited budget"
+  | Error e -> Rejected (Ipdb_run.Error.message e)
+
+(* Certificates that pass [params_ok] but sit at the edges: zero, subnormal
+   and infinite [first]/[coeff], powers that underflow to 0 within a few
+   indices, a geometric [index] whose [n - index] wraps, and exponential
+   tails with a negative index, where [0 ** n] is infinite. *)
+let gen_tail =
+  QCheck.Gen.(
+    let scale = oneofl [ 0.0; 5e-324; 1e-300; 1.0; 1e300; Float.max_float; Float.infinity ] in
+    oneof
+      [ map (fun last -> Series.Tail.Finite_support { last }) (oneofl [ -1; 0; 5; 1040 ]);
+        map3
+          (fun index first ratio -> Series.Tail.Geometric { index; first; ratio })
+          (oneofl [ 0; 3; -2; min_int ])
+          scale
+          (oneofl [ 0.0; 1e-100; 1e-10; 0.5; 0.999 ]);
+        map3
+          (fun index coeff p -> Series.Tail.P_series { index; coeff; p })
+          (oneofl [ 1; 2; 5 ])
+          scale
+          (oneofl [ 1.5; 2.0; 50.0; 400.0; Float.infinity ]);
+        map3
+          (fun index coeff rate -> Series.Tail.Exponential { index; coeff; rate })
+          (oneofl [ -5; 0; 3 ])
+          scale
+          (oneofl [ 0.0; 1e-200; 0.5; 0.9 ]) ])
+
+(* A term near the bound at [n]: either zero, a subnormal within four
+   ulps of the slack floor min_float * 2^-48 = 16 * 2^-1074, or a value
+   at or one ulp either side of the bound and of the slackened bound. *)
+let gen_term tail n =
+  QCheck.Gen.(
+    let b = reference_bound tail n in
+    let near_bound =
+      if Float.is_nan b then [ 0.0 ]
+      else
+        let s = b +. Float.abs b *. 0x1p-48 in
+        List.filter
+          (fun x -> not (Float.is_nan x || x < 0.0))
+          [ Float.pred b; b; Float.succ b; Float.pred s; s; Float.succ s ]
+    in
+    frequency
+      [ (3, oneofl [ 0.0; -0.0 ]);
+        (2, map (fun k -> Int64.float_of_bits (Int64.of_int (16 + k))) (-4 -- 4));
+        (3, oneofl (if near_bound = [] then [ 0.0 ] else near_bound));
+        (1, oneofl [ 1.0; 1e-300; Float.min_float ]) ])
+
+let arb_certified_case =
+  let gen =
+    QCheck.Gen.(
+      let* tail = gen_tail in
+      let* start = oneofl [ -3; 0; 1; 1018; 1045; 1068 ] in
+      let* len = 0 -- 30 in
+      let upto = start + len - 1 in
+      let rec terms n acc = if n < start then return acc else let* a = gen_term tail n in terms (n - 1) (a :: acc) in
+      let* terms = terms upto [] in
+      return (tail, start, upto, Array.of_list terms))
+  in
+  QCheck.make gen ~print:(fun (tail, start, upto, terms) ->
+      Format.asprintf "%a, indices %d..%d, terms [%s]" Series.Tail.pp tail start upto
+        (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") terms))))
+
+let engine_matches_slackened_test =
+  prop ~count:2000 "the engine decides every term as the slackened test" arb_certified_case
+    (fun (tail, start, upto, terms) ->
+      let f n = terms.(n - start) in
+      let want = reference_sum tail f ~start ~upto and got = engine_sum tail f ~start ~upto in
+      want = got
+      || QCheck.Test.fail_reportf "engine: %s\nreference: %s" (show_outcome got) (show_outcome want))
+
 let test_geometric_tail_exact () =
   Alcotest.(check bool) "exact 2^-n/(1/2)" true
     (Q.equal (Q.of_ints 1 2) (Series.geometric_tail_exact Q.half 2));
@@ -147,7 +275,8 @@ let () =
           Alcotest.test_case "exponential" `Quick test_exponential_sum;
           Alcotest.test_case "finite support" `Quick test_finite_support;
           Alcotest.test_case "bad certificates rejected" `Quick test_certificate_rejection;
-          Alcotest.test_case "exact geometric tail" `Quick test_geometric_tail_exact
+          Alcotest.test_case "exact geometric tail" `Quick test_geometric_tail_exact;
+          engine_matches_slackened_test
         ] );
       ( "divergence",
         [ Alcotest.test_case "harmonic" `Quick test_harmonic_divergence;

@@ -263,33 +263,42 @@ let test_overload_sheds () =
   ignore first;
   let s = Server.stats t in
   Alcotest.(check int) "shed counter" 2 s.Server.shed;
-  Alcotest.(check bool) "queue depth settled" true (s.Server.in_flight <= 1);
-  (* the slow handler's client has its response, but the server-side
-     in_flight decrement races the join on a loaded host — wait for it *)
-  let rec settle n =
-    if (Server.stats t).Server.in_flight > 0 && n > 0 then (Unix.sleepf 0.01; settle (n - 1))
-  in
-  settle 500;
+  (* every connection, shed or served, is counted out before its reply
+     is written, so once the clients have their replies nothing is left *)
+  Alcotest.(check int) "queue depth settled" 0 s.Server.in_flight;
   (* capacity is free again: served, not shed *)
   check_status "after the burst" Protocol.Ok_positive (request t "version")
 
 let test_degradation_ladder () =
   (* jobs=1 with a queue: the queued request runs on the degraded rung —
      a tiny step cap — so an astronomically long series answers quickly
-     with a sound Partial instead of occupying the queue for hours. *)
+     with a sound Partial instead of occupying the queue for hours. The
+     slow worker holds the only worker while the probe is queued, and
+     delays every request by the same fixed time. *)
   let cfg =
-    { test_config with jobs = Some 1; queue_limit = 4; degraded_max_steps = 100; slow_worker = 0.0 }
+    { test_config with jobs = Some 1; queue_limit = 4; degraded_max_steps = 100; slow_worker = 0.8 }
   in
   with_server cfg @@ fun t ->
-  let blocker =
-    Domain.spawn (fun () -> request t "criterion geometric upto=3000000")
-  in
-  Unix.sleepf 0.2;
+  let blocker = Domain.spawn (fun () -> request t "version") in
+  Unix.sleepf 0.3;
   let degraded = request t "criterion geometric upto=100000000" in
   check_status "degraded request is a sound Partial" Protocol.Partial degraded;
   ignore (Domain.join blocker);
   let s = Server.stats t in
   Alcotest.(check bool) "degraded counter" true (s.Server.degraded >= 1)
+
+let test_back_to_back_not_degraded () =
+  (* One client at a time never exceeds the worker count: a client that
+     reads its reply and reconnects at once must not find its previous
+     connection still counted in flight. *)
+  let cfg = { test_config with jobs = Some 1; queue_limit = 4 } in
+  with_server cfg @@ fun t ->
+  let answered = ref 0 in
+  for _ = 1 to 500 do
+    if (request t "version").Protocol.status = Protocol.Ok_positive then incr answered
+  done;
+  Alcotest.(check int) "every request answered" 500 !answered;
+  Alcotest.(check int) "no back-to-back request degraded" 0 (Server.stats t).Server.degraded
 
 let test_fault_drive () =
   (* An armed Serve_worker site must surface as a typed status-4 response,
@@ -812,6 +821,7 @@ let () =
           Alcotest.test_case "cache accounting" `Quick test_cache_accounting;
           Alcotest.test_case "overload sheds E_BUSY" `Quick test_overload_sheds;
           Alcotest.test_case "degradation ladder" `Quick test_degradation_ladder;
+          Alcotest.test_case "back-to-back requests not degraded" `Quick test_back_to_back_not_degraded;
           Alcotest.test_case "fault drive is typed" `Quick test_fault_drive;
           Alcotest.test_case "torn client shrugged off" `Quick test_torn_client;
           Alcotest.test_case "graceful drain" `Quick test_graceful_drain;
